@@ -41,8 +41,9 @@ fn dchoice_section(cfg: &Config) {
     println!("d=4 slightly tighter gap at lower throughput.\n");
 }
 
-/// Lock substrate: TATAS spinlock vs parking_lot::Mutex under the
-/// MultiQueue's short critical sections.
+/// Lock substrate: TATAS spinlock vs `std::sync::Mutex` (through the
+/// `dlz_pq::parking_lot` stand-in, which parks waiters in the OS) under
+/// the MultiQueue's short critical sections.
 fn lock_section(cfg: &Config) {
     println!("-- lock substrate under LockedPq (insert+remove pairs) --");
     let mut table = Table::new(&["lock", "threads", "Mops/s"]);
@@ -79,7 +80,7 @@ fn lock_section(cfg: &Config) {
             })
         }
     });
-    table.row(vec!["parking_lot".into(), n.to_string(), f3(t.mops())]);
+    table.row(vec!["std-mutex".into(), n.to_string(), f3(t.mops())]);
     table.print();
     println!();
 }

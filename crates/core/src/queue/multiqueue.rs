@@ -50,17 +50,19 @@
 //!   touches one line and adjacent queues never false-share. The
 //!   generation doubles as the change-rate signal
 //!   [`AdaptiveSticky`](crate::queue::AdaptiveSticky) adapts from.
-//! * Emptiness on the dequeue retry path is gated by a single padded
-//!   global approximate-size counter ([`MultiQueue::approx_size`]); the
-//!   exact O(m) sweep ([`MultiQueue::len`]) runs only to *confirm* an
-//!   empty observation, never per retry.
+//! * No word is shared by the whole structure: an operation writes only
+//!   the queue it chose. Emptiness is confirmed by the O(m) header
+//!   sweep ([`MultiQueue::len`]), and a dequeue runs that sweep only on
+//!   evidence it already holds — every sampled hint read empty, or the
+//!   chosen queue turned out empty — or once its backoff has escalated
+//!   to yielding. Never on a contended attempt, and never per retry.
 //! * Retry loops use [`Backoff`] instead of spinning hot on stale hints.
 //! * Sticky policies skip random draws and hint reads while camped, and
 //!   the batch operations amortize one lock acquisition and one hint
 //!   publish over a whole batch. Both trade rank quality for throughput
 //!   within the policy's documented envelope (O(s·m) for stickiness).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 use dlz_pq::locked::EMPTY_HINT;
@@ -69,7 +71,6 @@ use dlz_pq::{
     InsertOutcome, SeqPriorityQueue, Substrate, SubstrateCfg,
 };
 
-use crate::padded::Padded;
 use crate::queue::policy::{
     AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, PolicyCfg, QueueView, TwoChoice,
 };
@@ -121,16 +122,6 @@ where
     /// Default choice policy; every [`handle`](Self::handle) builds its
     /// own per-handle instance from this config.
     policy: PolicyCfg,
-    /// Padded global approximate size: one relaxed RMW per (batch of)
-    /// operation(s). Replaces the O(m) per-queue sweep on the dequeue
-    /// retry path; signed so transient reorderings cannot wrap.
-    size: Padded<AtomicI64>,
-    /// One flag per queue, set by the first operation that observes the
-    /// queue poisoned. The winner of that CAS subtracts the dead
-    /// queue's (stale) entry count from `size`, so the emptiness gate
-    /// never spins waiting for items no operation can reach. Cleared by
-    /// [`salvage`](Self::salvage) when the queue returns to service.
-    quarantined: Box<[AtomicBool]>,
 }
 
 /// What a [`MultiQueue::salvage`] sweep recovered.
@@ -221,17 +212,11 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         substrate: SubstrateCfg,
     ) -> Self {
         assert!(!queues.is_empty(), "MultiQueue needs at least one queue");
-        let queues: Box<[Substrate<V, Q>]> =
-            queues.into_iter().map(|q| substrate.wrap(q)).collect();
-        let size: i64 = queues.iter().map(|q| q.approx_len() as i64).sum();
-        let quarantined = (0..queues.len()).map(|_| AtomicBool::new(false)).collect();
         MultiQueue {
-            queues,
+            queues: queues.into_iter().map(|q| substrate.wrap(q)).collect(),
             mode,
             substrate,
             policy,
-            size: Padded::new(AtomicI64::new(size)),
-            quarantined,
         }
     }
 
@@ -271,8 +256,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
 
     /// Total entries across queues, via an O(m) sweep of the per-queue
     /// headers. Exact when quiescent; transiently off by in-flight
-    /// operations under concurrency. Hot paths should prefer
-    /// [`approx_size`](Self::approx_size), which is a single load.
+    /// operations under concurrency.
     pub fn len(&self) -> usize {
         self.queues.iter().map(|q| q.approx_len()).sum()
     }
@@ -281,25 +265,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// quiescent, like [`len`](Self::len)).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Approximate total entries from the padded global counter: one
-    /// relaxed load, no sweep. Exact when quiescent; may lag in-flight
-    /// operations by their count. This is what the dequeue retry loops
-    /// consult — they fall back to the exact sweep only to *confirm* an
-    /// empty observation before returning `None`.
-    pub fn approx_size(&self) -> usize {
-        self.size.load(Ordering::Relaxed).max(0) as usize
-    }
-
-    #[inline]
-    fn note_inserted(&self, n: usize) {
-        self.size.fetch_add(n as i64, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn note_removed(&self, n: usize) {
-        self.size.fetch_sub(n as i64, Ordering::Relaxed);
     }
 
     /// Entries reachable through operations: the O(m) sweep of
@@ -320,36 +285,22 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         self.queues.iter().filter(|q| q.is_poisoned()).count()
     }
 
-    /// Records queue `i`'s poisoning exactly once: the first observer
-    /// wins the flag CAS and subtracts the dead queue's (stale) header
-    /// count from the global size counter, so
-    /// [`confirmed_empty`](Self::confirmed_empty) keeps working while
-    /// the queue is out of service.
-    fn quarantine(&self, i: usize) {
-        if self.quarantined[i]
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.size
-                .fetch_sub(self.queues[i].approx_len() as i64, Ordering::Relaxed);
-        }
-    }
-
     /// First non-poisoned queue, if any — the insert loops' fallback
     /// when the policy keeps landing on quarantined queues.
     fn any_healthy_queue(&self) -> Option<usize> {
         (0..self.queues.len()).find(|&i| !self.queues[i].is_poisoned())
     }
 
-    /// The dequeue loops' emptiness gate. Cheap path: one relaxed load
-    /// of the global counter. The exact O(m) sweep runs only when the
-    /// counter hints empty — or, as a drift safety net, once the
-    /// backoff has escalated past pure spinning. Quarantined queues'
-    /// items are unreachable, so they count as absent here.
+    /// The dequeue loops' emptiness gate. The O(m) header sweep runs
+    /// only when the failed attempt `looks_empty` — every sampled hint
+    /// was [`EMPTY_HINT`], or the chosen queue answered empty — or, as
+    /// a safety net for stale hints, once the backoff has escalated to
+    /// yielding. A contended attempt is no evidence: the queue it lost
+    /// may be full. Poisoned queues' items are unreachable, so they
+    /// count as absent here.
     #[inline]
-    fn confirmed_empty(&self, backoff: &Backoff) -> bool {
-        (self.size.load(Ordering::Relaxed) <= 0 || backoff.is_yielding())
-            && self.reachable_len() == 0
+    fn confirmed_empty(&self, looks_empty: bool, backoff: &Backoff) -> bool {
+        (looks_empty || backoff.is_yielding()) && self.reachable_len() == 0
     }
 
     // -----------------------------------------------------------------
@@ -407,8 +358,8 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 
     /// Inserts a whole batch into one policy-chosen queue under a
-    /// single lock acquisition, with a single hint publish and one
-    /// global-counter update. Returns the number of items inserted.
+    /// single lock acquisition, with a single hint publish. Returns the
+    /// number of items inserted.
     ///
     /// The batch counts as *one* operation for camping policies; its
     /// rank effect is like stickiness with `s = batch` (the batch lands
@@ -479,7 +430,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             };
             match self.queues[i].insert(entry.0, entry.1, self.blocking(), stamper, stats) {
                 InsertOutcome::Done(stamp) => {
-                    self.note_inserted(1);
                     policy.on_success(ChoiceOp::Insert, i, self);
                     return stamp;
                 }
@@ -491,7 +441,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 }
                 InsertOutcome::Poisoned(p, v) => {
                     entry = (p, v);
-                    self.quarantine(i);
                     policy.on_poisoned(ChoiceOp::Insert, i);
                     poisoned_hits += 1;
                 }
@@ -510,46 +459,46 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     ) -> Option<(u64, V, u64)> {
         let mut backoff = Backoff::new();
         loop {
-            if self.confirmed_empty(&backoff) {
+            // `None` from the policy: every sampled hint read empty.
+            let looks_empty = match policy.choose_dequeue(rng, self) {
+                None => true,
+                Some(k) => match self.queues[k].dequeue(self.blocking(), stamper, stats) {
+                    DequeueOutcome::Served(p, v, s) => {
+                        policy.on_success(ChoiceOp::Dequeue, k, self);
+                        return Some((p, v, s));
+                    }
+                    // Poison is not contention: evict any camp on the
+                    // dead queue and re-choose immediately (the poisoned
+                    // queue publishes the empty hint, so fresh samples
+                    // steer clear — no snooze needed and none recorded).
+                    DequeueOutcome::Poisoned => {
+                        policy.on_poisoned(ChoiceOp::Dequeue, k);
+                        continue;
+                    }
+                    // Stale hint / drained camp (`Empty`) or a contended
+                    // acquisition (`Contended`): void any camp. Only the
+                    // former is evidence of emptiness.
+                    outcome => {
+                        policy.on_contention(ChoiceOp::Dequeue, k);
+                        matches!(outcome, DequeueOutcome::Empty)
+                    }
+                },
+            };
+            if self.confirmed_empty(looks_empty, &backoff) {
                 stats.empty_confirms += 1;
                 return None;
             }
-            let Some(k) = policy.choose_dequeue(rng, self) else {
-                stats.note_snooze(backoff.is_yielding());
-                backoff.snooze();
-                continue;
-            };
-            match self.queues[k].dequeue(self.blocking(), stamper, stats) {
-                DequeueOutcome::Served(p, v, s) => {
-                    self.note_removed(1);
-                    policy.on_success(ChoiceOp::Dequeue, k, self);
-                    return Some((p, v, s));
-                }
-                // Poison is not contention: evict any camp on the dead
-                // queue and re-choose immediately (the poisoned queue
-                // publishes the empty hint, so fresh samples steer
-                // clear — no snooze needed and none recorded).
-                DequeueOutcome::Poisoned => {
-                    self.quarantine(k);
-                    policy.on_poisoned(ChoiceOp::Dequeue, k);
-                }
-                // Stale hint / drained camp (`Empty`) or a contended
-                // acquisition (`Contended`): void any camp and back
-                // off rather than hammering the hint lines — the snooze
-                // is near-free at first and escalates to yielding under
-                // sustained contention so lock holders get CPU (vital
-                // when oversubscribed).
-                DequeueOutcome::Empty | DequeueOutcome::Contended => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    stats.note_snooze(backoff.is_yielding());
-                    backoff.snooze();
-                }
-            }
+            // Back off rather than hammering the hint lines — the
+            // snooze is near-free at first and escalates to yielding
+            // under sustained contention so lock holders get CPU (vital
+            // when oversubscribed).
+            stats.note_snooze(backoff.is_yielding());
+            backoff.snooze();
         }
     }
 
-    /// The batch-insert path: one lock acquisition, one hint publish,
-    /// one counter update; per-item stamps when `stamped` is given.
+    /// The batch-insert path: one lock acquisition, one hint publish;
+    /// per-item stamps when `stamped` is given.
     fn insert_batch_inner(
         &self,
         policy: &mut impl ChoicePolicy,
@@ -574,7 +523,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             let relend = stamped.as_mut().map(|(s, v)| (*s, &mut **v));
             match self.queues[i].insert_batch(items, self.blocking(), relend, stats) {
                 BatchPush::Done(n) => {
-                    self.note_inserted(n);
                     if n > 0 {
                         policy.on_success(ChoiceOp::Insert, i, self);
                     }
@@ -588,7 +536,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 }
                 BatchPush::Poisoned(back) => {
                     items = back;
-                    self.quarantine(i);
                     policy.on_poisoned(ChoiceOp::Insert, i);
                     poisoned_hits += 1;
                 }
@@ -612,33 +559,37 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         }
         let mut backoff = Backoff::new();
         loop {
-            if self.confirmed_empty(&backoff) {
+            let looks_empty = match policy.choose_dequeue(rng, self) {
+                None => true,
+                Some(k) => match self.queues[k].dequeue_batch(
+                    max,
+                    self.blocking(),
+                    stamper,
+                    &mut sink,
+                    stats,
+                ) {
+                    BatchPop::Served(n) => {
+                        policy.on_success(ChoiceOp::Dequeue, k, self);
+                        return n;
+                    }
+                    BatchPop::Poisoned => {
+                        policy.on_poisoned(ChoiceOp::Dequeue, k);
+                        continue;
+                    }
+                    // Stale hint (acquired an empty queue) or a
+                    // contended acquisition: back off before redrawing.
+                    outcome => {
+                        policy.on_contention(ChoiceOp::Dequeue, k);
+                        matches!(outcome, BatchPop::Empty)
+                    }
+                },
+            };
+            if self.confirmed_empty(looks_empty, &backoff) {
                 stats.empty_confirms += 1;
                 return 0;
             }
-            let Some(k) = policy.choose_dequeue(rng, self) else {
-                stats.note_snooze(backoff.is_yielding());
-                backoff.snooze();
-                continue;
-            };
-            match self.queues[k].dequeue_batch(max, self.blocking(), stamper, &mut sink, stats) {
-                BatchPop::Served(n) => {
-                    self.note_removed(n);
-                    policy.on_success(ChoiceOp::Dequeue, k, self);
-                    return n;
-                }
-                BatchPop::Poisoned => {
-                    self.quarantine(k);
-                    policy.on_poisoned(ChoiceOp::Dequeue, k);
-                }
-                // Stale hint (acquired an empty queue) or a contended
-                // acquisition: back off before redrawing.
-                BatchPop::Empty | BatchPop::Contended => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    stats.note_snooze(backoff.is_yielding());
-                    backoff.snooze();
-                }
-            }
+            stats.note_snooze(backoff.is_yielding());
+            backoff.snooze();
         }
     }
 
@@ -655,8 +606,8 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// `delete_min` until it reports empty. Entries the panicked
     /// critical section had half-removed may be lost — hence
     /// *best-effort* — but everything recovered is re-served exactly
-    /// once and the global size accounting ends exact for the
-    /// recovered set.
+    /// once. Until then the dequeue loops' emptiness sweep skips the
+    /// poisoned queue, so its stranded entries never hold a `None` up.
     ///
     /// Safe to call concurrently with operations and with other
     /// salvagers (the sweep is per-queue idempotent). Returns what was
@@ -664,26 +615,20 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     pub fn salvage(&self) -> SalvageOutcome {
         let mut out = SalvageOutcome::default();
         let mut recovered: Vec<(u64, V)> = Vec::new();
-        for (i, q) in self.queues.iter().enumerate() {
+        for q in self.queues.iter() {
             if !q.is_poisoned() {
                 continue;
             }
-            // Ensure the quarantine accounting ran even if no operation
-            // observed the poison before us: the reinsertions below go
-            // through the normal counted insert path, so the stale
-            // count must be gone from `size` first.
-            self.quarantine(i);
             // The substrate drains everything still consistently served
             // (including a lock-free queue's unclaimed pending stack)
             // and releases under a fresh generation with the poison bit
             // cleared.
             q.salvage_into(&mut recovered);
-            self.quarantined[i].store(false, Ordering::Release);
             out.queues_salvaged += 1;
         }
         out.items_recovered = recovered.len();
         // Re-home the survivors through the normal insert path (which
-        // re-adds them to `size` and skips any queue poisoned since).
+        // skips any queue poisoned since).
         // Fresh two-choice with a fixed seed: salvage is a recovery
         // sweep, deterministic given the drained set.
         let mut policy = TwoChoice;
@@ -719,7 +664,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             // wait on an acquisition a stalled thread may hold.
             match self.queues[i].insert(entry.0, entry.1, false, None, stats) {
                 InsertOutcome::Done(_) => {
-                    self.note_inserted(1);
                     policy.on_success(ChoiceOp::Insert, i, self);
                     return Ok(());
                 }
@@ -731,7 +675,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 }
                 InsertOutcome::Poisoned(p, v) => {
                     entry = (p, v);
-                    self.quarantine(i);
                     policy.on_poisoned(ChoiceOp::Insert, i);
                 }
             }
@@ -751,35 +694,36 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     ) -> Result<Option<(u64, V)>, ()> {
         let mut backoff = Backoff::new();
         loop {
-            if self.confirmed_empty(&backoff) {
+            let looks_empty = match policy.choose_dequeue(rng, self) {
+                None => true,
+                // Non-blocking regardless of mode, like `insert_one_for`.
+                Some(k) => match self.queues[k].dequeue(false, None, stats) {
+                    DequeueOutcome::Served(p, v, _) => {
+                        policy.on_success(ChoiceOp::Dequeue, k, self);
+                        return Ok(Some((p, v)));
+                    }
+                    // No evidence of emptiness; unlike the blocking
+                    // loop, fall through so the deadline still bounds a
+                    // run of poisoned choices.
+                    DequeueOutcome::Poisoned => {
+                        policy.on_poisoned(ChoiceOp::Dequeue, k);
+                        false
+                    }
+                    outcome => {
+                        policy.on_contention(ChoiceOp::Dequeue, k);
+                        matches!(outcome, DequeueOutcome::Empty)
+                    }
+                },
+            };
+            if self.confirmed_empty(looks_empty, &backoff) {
                 stats.empty_confirms += 1;
                 return Ok(None);
             }
             if Instant::now() >= deadline {
                 return Err(());
             }
-            let Some(k) = policy.choose_dequeue(rng, self) else {
-                stats.note_snooze(backoff.is_yielding());
-                backoff.snooze();
-                continue;
-            };
-            // Non-blocking regardless of mode, like `insert_one_for`.
-            match self.queues[k].dequeue(false, None, stats) {
-                DequeueOutcome::Served(p, v, _) => {
-                    self.note_removed(1);
-                    policy.on_success(ChoiceOp::Dequeue, k, self);
-                    return Ok(Some((p, v)));
-                }
-                DequeueOutcome::Poisoned => {
-                    self.quarantine(k);
-                    policy.on_poisoned(ChoiceOp::Dequeue, k);
-                }
-                DequeueOutcome::Empty | DequeueOutcome::Contended => {
-                    policy.on_contention(ChoiceOp::Dequeue, k);
-                    stats.note_snooze(backoff.is_yielding());
-                    backoff.snooze();
-                }
-            }
+            stats.note_snooze(backoff.is_yielding());
+            backoff.snooze();
         }
     }
 
@@ -789,7 +733,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         for q in self.queues.iter() {
             q.salvage_into(&mut out);
         }
-        self.note_removed(out.len());
         out.sort_by_key(|(p, _)| *p);
         out
     }
@@ -1270,7 +1213,7 @@ mod tests {
         let mut h = mq.handle(1);
         assert_eq!(h.dequeue(), None);
         assert!(mq.is_empty());
-        assert_eq!(mq.approx_size(), 0);
+        assert_eq!(mq.len(), 0);
     }
 
     #[test]
@@ -1281,7 +1224,6 @@ mod tests {
             h.insert(p, p * 10);
         }
         assert_eq!(mq.len(), 1000);
-        assert_eq!(mq.approx_size(), 1000);
         let mut out = Vec::new();
         while let Some((p, v)) = h.dequeue() {
             assert_eq!(v, p * 10);
@@ -1290,7 +1232,7 @@ mod tests {
         assert_eq!(out.len(), 1000);
         out.sort_unstable();
         assert_eq!(out, (0..1000u64).collect::<Vec<_>>());
-        assert_eq!(mq.approx_size(), 0);
+        assert_eq!(mq.len(), 0);
     }
 
     #[test]
@@ -1389,7 +1331,7 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, (0..PRODUCERS as u64 * PER).collect::<Vec<_>>());
         assert!(mq.is_empty());
-        assert_eq!(mq.approx_size(), 0);
+        assert_eq!(mq.len(), 0);
     }
 
     #[test]
@@ -1488,7 +1430,7 @@ mod tests {
         h.insert(2, 'b');
         assert_eq!(mq.drain_sorted(), vec![(1, 'a'), (2, 'b'), (3, 'c')]);
         assert!(mq.is_empty());
-        assert_eq!(mq.approx_size(), 0);
+        assert_eq!(mq.len(), 0);
     }
 
     #[test]
@@ -1625,7 +1567,7 @@ mod tests {
             );
         }
         // Conservation still holds.
-        let mut n = mq.approx_size();
+        let mut n = mq.len();
         assert_eq!(n, 1_000);
         while h.dequeue().is_some() {
             n -= 1;
@@ -1645,13 +1587,13 @@ mod tests {
             for p in 0..2_000u64 {
                 h.insert(p, p);
             }
-            assert_eq!(mq.approx_size(), 2_000);
+            assert_eq!(mq.len(), 2_000);
             let mut n = 0;
             while h.dequeue().is_some() {
                 n += 1;
             }
             assert_eq!(n, 2_000, "{mode:?}");
-            assert_eq!(mq.approx_size(), 0);
+            assert_eq!(mq.len(), 0);
         }
     }
 
@@ -1783,7 +1725,7 @@ mod tests {
                 inserted += h.insert_batch(items);
             }
             assert_eq!(inserted, 700);
-            assert_eq!(mq.approx_size(), 700);
+            assert_eq!(mq.len(), 700);
             let mut out = Vec::new();
             loop {
                 let n = h.dequeue_batch(16, &mut out);
@@ -1796,7 +1738,7 @@ mod tests {
             ps.sort_unstable();
             ps.dedup();
             assert_eq!(ps.len(), 700, "batch dequeue duplicated or lost items");
-            assert_eq!(mq.approx_size(), 0);
+            assert_eq!(mq.len(), 0);
         }
     }
 
@@ -1901,18 +1843,79 @@ mod tests {
     }
 
     #[test]
-    fn approx_size_tracks_len_when_quiescent() {
-        let mq: MultiQueue<u64> = MultiQueue::new(4);
-        let mut h = mq.handle(15);
-        for p in 0..100u64 {
-            h.insert(p, p);
-        }
-        assert_eq!(mq.approx_size(), mq.len());
-        for _ in 0..40 {
-            h.dequeue();
-        }
-        assert_eq!(mq.approx_size(), mq.len());
-        assert_eq!(mq.approx_size(), 60);
+    fn drained_camp_sweeps_and_serves_from_another_queue() {
+        // Two queues with items; a sticky handle camps on whichever one
+        // its first dequeue hit. Draining that queue behind the handle's
+        // back makes the next camped attempt answer `Empty` — evidence
+        // that triggers the sweep, which sees the other queue's items,
+        // so the loop redraws and serves instead of returning `None`.
+        let heap = |ps: &[u64]| {
+            let mut h = BinaryHeap::new();
+            for &p in ps {
+                h.add(p, p);
+            }
+            h
+        };
+        let mq: MultiQueue<u64> = MultiQueue::with_queues(
+            vec![heap(&[1, 2, 3]), heap(&[10, 11, 12])],
+            DeleteMode::Strict,
+        );
+        let mut h = MqHandle::with_policy(&mq, 16, Sticky::new(8));
+        let (first, _) = h.dequeue().unwrap();
+        let (camp, other) = if first < 10 { (0, 1) } else { (1, 0) };
+        let mut stats = ContentionStats::new();
+        while let DequeueOutcome::Served(..) = mq.queues[camp].dequeue(true, None, &mut stats) {}
+        assert_eq!(mq.queues[camp].approx_len(), 0);
+        let left = mq.queues[other].approx_len();
+        let (p, _) = h.dequeue().expect("items remain in the other queue");
+        assert_eq!(
+            p,
+            if other == 0 { 1 } else { 10 },
+            "served the other queue's minimum"
+        );
+        assert_eq!(mq.queues[other].approx_len(), left - 1);
+        assert_eq!(h.contention().empty_confirms, 0);
+    }
+
+    #[test]
+    fn contended_queues_time_out_instead_of_confirming_empty() {
+        // Items sit only in queues 0 and 1, whose locks this thread
+        // holds; queues 2 and 3 are empty. A bounded dequeue from
+        // another thread sees `Contended` on the held queues and empty
+        // hints elsewhere — the sweep still counts the held queues'
+        // items, so it must time out, never report `Ok(None)`.
+        let heap = |p: u64| {
+            let mut h = BinaryHeap::new();
+            h.add(p, p);
+            h
+        };
+        let mq: MultiQueue<u64> = MultiQueue::with_queues(
+            vec![heap(1), heap(2), BinaryHeap::new(), BinaryHeap::new()],
+            DeleteMode::Strict,
+        );
+        let g0 = mq.queues[0].as_locked().unwrap().lock();
+        let g1 = mq.queues[1].as_locked().unwrap().lock();
+        let timeout = Duration::from_millis(10);
+        let got = std::thread::scope(|s| {
+            s.spawn(|| mq.handle(17).try_dequeue_for(timeout))
+                .join()
+                .unwrap()
+        });
+        assert_eq!(
+            got,
+            Err(MqOpTimeout {
+                op: ChoiceOp::Dequeue,
+                timeout,
+            })
+        );
+        drop(g0);
+        drop(g1);
+        assert_eq!(
+            mq.handle(18)
+                .try_dequeue_for(Duration::from_secs(5))
+                .map(|o| o.is_some()),
+            Ok(true)
+        );
     }
 
     /// Panics inside queue `i`'s critical section (before mutating it),
@@ -1972,7 +1975,7 @@ mod tests {
             }
             got.sort_unstable();
             assert_eq!(got, (0..300u64).collect::<Vec<_>>(), "{cfg:?}");
-            assert_eq!(mq.approx_size(), 0, "{cfg:?}");
+            assert_eq!(mq.len(), 0, "{cfg:?}");
             assert!(mq.is_empty(), "{cfg:?}");
         }
     }
@@ -2083,14 +2086,13 @@ mod tests {
     }
 
     #[test]
-    fn preexisting_entries_seed_the_global_counter() {
+    fn preexisting_entries_are_counted() {
         let mut a = BinaryHeap::new();
         a.add(1u64, 1u64);
         a.add(2, 2);
         let mut b = BinaryHeap::new();
         b.add(3u64, 3u64);
         let mq: MultiQueue<u64> = MultiQueue::with_queues(vec![a, b], DeleteMode::Strict);
-        assert_eq!(mq.approx_size(), 3);
         assert_eq!(mq.len(), 3);
     }
 

@@ -81,7 +81,8 @@ pub trait QueueView {
     /// that cannot be poisoned. Poisoned queues also publish the empty
     /// hint, so hint-driven dequeue sampling skips them without an
     /// extra check — this predicate exists for callers that need the
-    /// distinction (quarantine accounting, salvage sweeps).
+    /// distinction (e.g. a policy that picks queues without reading
+    /// hints).
     fn queue_poisoned(&self, i: usize) -> bool {
         let _ = i;
         false
