@@ -3,12 +3,12 @@
 //! Shared machinery for the binaries that regenerate every figure of
 //! the paper (see `src/bin/`):
 //!
-//! * [`harness`] — multi-threaded timed throughput runs (barrier start,
-//!   stop flag, per-thread op counts); a façade over
-//!   [`dlz_workload::driver`].
 //! * [`tables`] — aligned-column table / CSV output.
 //! * [`config`] — tiny CLI/env configuration shared by all binaries
 //!   (`--threads 1,2,4`, `--duration-ms 300`, `--quick`, ...).
+//!
+//! Timed multi-threaded runs (barrier start, stop flag, per-thread op
+//! counts) come from [`dlz_workload::driver`].
 //!
 //! The figure binaries (`fig1a`, `fig1b`, `fig1cde`, `mq_rank`) are
 //! thin wrappers over the `dlz-workload` scenario engine; the
@@ -22,9 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod harness;
 pub mod tables;
 
 pub use config::Config;
-pub use harness::{count_until_stopped, run_throughput, Throughput};
 pub use tables::Table;

@@ -219,3 +219,12 @@ fn unknown_scenario_exits_2_with_empty_stdout() {
     let stderr = String::from_utf8(out.stderr.clone()).expect("utf8 stderr");
     assert!(stderr.contains("unknown scenario"), "{stderr}");
 }
+
+#[test]
+fn removed_substrates_flag_is_an_unknown_flag_usage_error() {
+    let out = run(&["--substrates", "locked"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "error paths must not pollute stdout");
+    let stderr = String::from_utf8(out.stderr.clone()).expect("utf8 stderr");
+    assert!(stderr.contains("unknown flag --substrates"), "{stderr}");
+}

@@ -74,9 +74,8 @@ pub use counter::{
 };
 pub use dlz_pq::ContentionStats;
 pub use dlz_pq::Poisoned;
-pub use dlz_pq::SubstrateCfg;
 pub use queue::{
     AdaptiveSticky, AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, DeleteMode, MqHandle, MqOpTimeout,
     MultiQueue, MultiQueueBuilder, PolicyCfg, QueueView, RelaxedFifo, SalvageOutcome, Stamped,
-    Sticky, TwoChoice,
+    Sticky, SubstrateCfg, TwoChoice,
 };

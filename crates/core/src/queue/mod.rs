@@ -19,6 +19,7 @@ mod relaxed_fifo;
 
 pub use multiqueue::{
     DeleteMode, MqHandle, MqOpTimeout, MultiQueue, MultiQueueBuilder, SalvageOutcome, Stamped,
+    SubstrateCfg,
 };
 pub use policy::{
     AdaptiveSticky, AnyPolicy, ChoiceOp, ChoicePolicy, DChoice, PolicyCfg, QueueView, Sticky,

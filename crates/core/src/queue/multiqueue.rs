@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 use dlz_pq::locked::EMPTY_HINT;
 use dlz_pq::{
     Backoff, BatchPop, BatchPush, BinaryHeap, ConcurrentPq, ContentionStats, DequeueOutcome,
-    InsertOutcome, SeqPriorityQueue, Substrate, SubstrateCfg,
+    InsertOutcome, LockedPq, SeqPriorityQueue,
 };
 
 use crate::queue::policy::{
@@ -111,14 +111,10 @@ where
     Q: SeqPriorityQueue<u64, V> + Send,
     V: Send,
 {
-    /// Each per-queue substrate keeps its hot words cache padded, so
-    /// adjacent queues in this array never false-share.
-    queues: Box<[Substrate<V, Q>]>,
+    /// Each queue keeps its header and hint cache padded, so adjacent
+    /// queues in this array never false-share.
+    queues: Box<[LockedPq<V, Q>]>,
     mode: DeleteMode,
-    /// Which substrate every queue runs on (uniform across the
-    /// structure; mixing substrates within one MultiQueue would make
-    /// the rank envelope unattributable).
-    substrate: SubstrateCfg,
     /// Default choice policy; every [`handle`](Self::handle) builds its
     /// own per-handle instance from this config.
     policy: PolicyCfg,
@@ -162,6 +158,20 @@ impl std::fmt::Display for MqOpTimeout {
 
 impl std::error::Error for MqOpTimeout {}
 
+/// The per-queue substrate of [`MultiQueue::with_substrate`].
+///
+/// Every queue is a packed-lock [`LockedPq`], so this has one variant.
+/// It is kept only so callers written against the substrate-selecting
+/// constructors ([`MultiQueue::with_substrate`] and the workload
+/// layer's `MultiQueueBackend::heap_full`) still compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SubstrateCfg {
+    /// Packed-lock [`LockedPq`]: lock bit, generation and count in one
+    /// word, min hint republished on change.
+    #[default]
+    Locked,
+}
+
 /// Consecutive poisoned choices an insert loop tolerates before it
 /// stops trusting the policy and linear-scans for a healthy queue.
 const POISON_RECHOOSE_LIMIT: u32 = 4;
@@ -183,7 +193,7 @@ impl<V: Send> MultiQueue<V> {
 }
 
 impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
-    /// Builds from explicit sequential queues (any substrate) and mode.
+    /// Builds from explicit sequential queues and mode.
     ///
     /// # Panics
     /// If `queues` is empty.
@@ -192,16 +202,22 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     }
 
     /// Builds from explicit sequential queues, mode and default choice
-    /// policy, on the default (packed-lock) substrate.
+    /// policy.
     ///
     /// # Panics
     /// If `queues` is empty.
     pub fn with_config(queues: Vec<Q>, mode: DeleteMode, policy: PolicyCfg) -> Self {
-        Self::with_substrate(queues, mode, policy, SubstrateCfg::Locked)
+        assert!(!queues.is_empty(), "MultiQueue needs at least one queue");
+        MultiQueue {
+            queues: queues.into_iter().map(LockedPq::new).collect(),
+            mode,
+            policy,
+        }
     }
 
-    /// Builds from explicit sequential queues, mode, default choice
-    /// policy and per-queue substrate.
+    /// [`with_config`](Self::with_config) under its older name, which
+    /// also took the per-queue substrate; [`SubstrateCfg`] has one
+    /// variant, so the argument selects nothing.
     ///
     /// # Panics
     /// If `queues` is empty.
@@ -209,15 +225,9 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         queues: Vec<Q>,
         mode: DeleteMode,
         policy: PolicyCfg,
-        substrate: SubstrateCfg,
+        _substrate: SubstrateCfg,
     ) -> Self {
-        assert!(!queues.is_empty(), "MultiQueue needs at least one queue");
-        MultiQueue {
-            queues: queues.into_iter().map(|q| substrate.wrap(q)).collect(),
-            mode,
-            substrate,
-            policy,
-        }
+        Self::with_config(queues, mode, policy)
     }
 
     /// Number of internal queues (the paper's `m`).
@@ -228,11 +238,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     /// The configured delete mode.
     pub fn mode(&self) -> DeleteMode {
         self.mode
-    }
-
-    /// The per-queue substrate every queue runs on.
-    pub fn substrate(&self) -> SubstrateCfg {
-        self.substrate
     }
 
     /// Whether a contended operation blocks on its chosen queue
@@ -428,7 +433,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             } else {
                 policy.choose_insert(rng, self)
             };
-            match self.queues[i].insert(entry.0, entry.1, self.blocking(), stamper, stats) {
+            match self.queues[i].attempt_insert(entry.0, entry.1, self.blocking(), stamper, stats) {
                 InsertOutcome::Done(stamp) => {
                     policy.on_success(ChoiceOp::Insert, i, self);
                     return stamp;
@@ -462,7 +467,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             // `None` from the policy: every sampled hint read empty.
             let looks_empty = match policy.choose_dequeue(rng, self) {
                 None => true,
-                Some(k) => match self.queues[k].dequeue(self.blocking(), stamper, stats) {
+                Some(k) => match self.queues[k].attempt_dequeue(self.blocking(), stamper, stats) {
                     DequeueOutcome::Served(p, v, s) => {
                         policy.on_success(ChoiceOp::Dequeue, k, self);
                         return Some((p, v, s));
@@ -509,7 +514,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
     ) -> usize {
         let mut backoff = Backoff::new();
         let mut poisoned_hits = 0u32;
-        // The iterator round-trips through the substrate: a contended
+        // The iterator round-trips through the queue: a contended
         // or poisoned attempt hands `items` back unconsumed, so the
         // retry loop rebinds it and redraws a queue.
         let mut items = items;
@@ -521,7 +526,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
                 policy.choose_insert(rng, self)
             };
             let relend = stamped.as_mut().map(|(s, v)| (*s, &mut **v));
-            match self.queues[i].insert_batch(items, self.blocking(), relend, stats) {
+            match self.queues[i].attempt_insert_batch(items, self.blocking(), relend, stats) {
                 BatchPush::Done(n) => {
                     if n > 0 {
                         policy.on_success(ChoiceOp::Insert, i, self);
@@ -561,7 +566,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
         loop {
             let looks_empty = match policy.choose_dequeue(rng, self) {
                 None => true,
-                Some(k) => match self.queues[k].dequeue_batch(
+                Some(k) => match self.queues[k].attempt_dequeue_batch(
                     max,
                     self.blocking(),
                     stamper,
@@ -619,10 +624,8 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             if !q.is_poisoned() {
                 continue;
             }
-            // The substrate drains everything still consistently served
-            // (including a lock-free queue's unclaimed pending stack)
-            // and releases under a fresh generation with the poison bit
-            // cleared.
+            // Drains everything still consistently served and releases
+            // under a fresh generation with the poison bit cleared.
             q.salvage_into(&mut recovered);
             out.queues_salvaged += 1;
         }
@@ -662,7 +665,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             let i = policy.choose_insert(rng, self);
             // Non-blocking regardless of mode: the point is to never
             // wait on an acquisition a stalled thread may hold.
-            match self.queues[i].insert(entry.0, entry.1, false, None, stats) {
+            match self.queues[i].attempt_insert(entry.0, entry.1, false, None, stats) {
                 InsertOutcome::Done(_) => {
                     policy.on_success(ChoiceOp::Insert, i, self);
                     return Ok(());
@@ -697,7 +700,7 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> MultiQueue<V, Q> {
             let looks_empty = match policy.choose_dequeue(rng, self) {
                 None => true,
                 // Non-blocking regardless of mode, like `insert_one_for`.
-                Some(k) => match self.queues[k].dequeue(false, None, stats) {
+                Some(k) => match self.queues[k].attempt_dequeue(false, None, stats) {
                     DequeueOutcome::Served(p, v, _) => {
                         policy.on_success(ChoiceOp::Dequeue, k, self);
                         return Ok(Some((p, v)));
@@ -753,10 +756,6 @@ impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> QueueView for MultiQueue<V, Q>
     fn queue_generation(&self, i: usize) -> Option<u64> {
         self.queues[i].generation()
     }
-
-    fn queue_poisoned(&self, i: usize) -> bool {
-        self.queues[i].is_poisoned()
-    }
 }
 
 /// MultiQueues are themselves concurrent priority queues, so they slot
@@ -794,7 +793,6 @@ pub struct MultiQueueBuilder {
     threads: Option<usize>,
     mode: DeleteMode,
     policy: PolicyCfg,
-    substrate: SubstrateCfg,
     seed: Option<u64>,
 }
 
@@ -832,13 +830,6 @@ impl MultiQueueBuilder {
         self
     }
 
-    /// Sets the per-queue substrate (default [`SubstrateCfg::Locked`],
-    /// the packed-lock heap).
-    pub fn substrate(mut self, substrate: SubstrateCfg) -> Self {
-        self.substrate = substrate;
-        self
-    }
-
     /// Reseeds the calling thread's convenience RNG (see
     /// [`MultiCounterBuilder::seed`](crate::counter::MultiCounterBuilder::seed)).
     pub fn seed(mut self, seed: u64) -> Self {
@@ -859,11 +850,10 @@ impl MultiQueueBuilder {
         if let Some(seed) = self.seed {
             crate::rng::reseed_thread_rng(seed);
         }
-        MultiQueue::with_substrate(
+        MultiQueue::with_config(
             (0..m).map(|_| BinaryHeap::new()).collect(),
             self.mode,
             self.policy,
-            self.substrate,
         )
     }
 }
@@ -1864,7 +1854,9 @@ mod tests {
         let (first, _) = h.dequeue().unwrap();
         let (camp, other) = if first < 10 { (0, 1) } else { (1, 0) };
         let mut stats = ContentionStats::new();
-        while let DequeueOutcome::Served(..) = mq.queues[camp].dequeue(true, None, &mut stats) {}
+        while let DequeueOutcome::Served(..) =
+            mq.queues[camp].attempt_dequeue(true, None, &mut stats)
+        {}
         assert_eq!(mq.queues[camp].approx_len(), 0);
         let left = mq.queues[other].approx_len();
         let (p, _) = h.dequeue().expect("items remain in the other queue");
@@ -1893,8 +1885,8 @@ mod tests {
             vec![heap(1), heap(2), BinaryHeap::new(), BinaryHeap::new()],
             DeleteMode::Strict,
         );
-        let g0 = mq.queues[0].as_locked().unwrap().lock();
-        let g1 = mq.queues[1].as_locked().unwrap().lock();
+        let g0 = mq.queues[0].lock();
+        let g1 = mq.queues[1].lock();
         let timeout = Duration::from_millis(10);
         let got = std::thread::scope(|s| {
             s.spawn(|| mq.handle(17).try_dequeue_for(timeout))
@@ -1922,10 +1914,7 @@ mod tests {
     /// leaving the queue poisoned with its entries intact.
     fn poison_queue(mq: &MultiQueue<u64>, i: usize) {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mq.queues[i]
-                .as_locked()
-                .expect("default substrate is the packed lock")
-                .with_locked(|_| -> () { panic!("injected fault") })
+            mq.queues[i].with_locked(|_| -> () { panic!("injected fault") })
         }));
         assert!(r.is_err(), "the injected panic must propagate");
         assert!(mq.queues[i].is_poisoned(), "queue {i} should be poisoned");
@@ -2010,8 +1999,8 @@ mod tests {
         let mut h = mq.handle(33);
         h.insert(5, 5);
         // Emulate stalled lock holders: both locks held indefinitely.
-        let g0 = mq.queues[0].as_locked().unwrap().lock();
-        let g1 = mq.queues[1].as_locked().unwrap().lock();
+        let g0 = mq.queues[0].lock();
+        let g1 = mq.queues[1].lock();
         let short = Duration::from_millis(20);
         assert_eq!(
             h.try_dequeue_for(short),
@@ -2076,13 +2065,34 @@ mod tests {
 
     #[test]
     fn queue_view_reports_poison() {
+        // Policies never read poison directly: a poisoned queue
+        // publishes the empty hint, so hint samplers steer clear.
         let mq: MultiQueue<u64> = MultiQueue::new(2);
-        assert!(!QueueView::queue_poisoned(&mq, 0));
-        poison_queue(&mq, 0);
-        assert!(QueueView::queue_poisoned(&mq, 0));
-        assert!(!QueueView::queue_poisoned(&mq, 1));
+        let mut h = mq.handle(36);
+        for p in 0..20u64 {
+            h.insert(p, p);
+        }
+        let hint = |i| QueueView::queue_hint(&mq, i);
+        let loaded = if mq.queues[0].approx_len() > 0 { 0 } else { 1 };
+        let before = hint(loaded);
+        assert_ne!(before, EMPTY_HINT);
+        poison_queue(&mq, loaded);
+        assert_eq!(hint(loaded), EMPTY_HINT);
         mq.salvage();
-        assert!(!QueueView::queue_poisoned(&mq, 0));
+        assert!(!mq.queues[loaded].is_poisoned());
+        // The salvaged entries are re-homed; every non-empty queue
+        // again publishes a real hint, and together they hold the
+        // global minimum.
+        let hints: Vec<u64> = (0..2).map(hint).collect();
+        assert!(hints.iter().any(|&h| h != EMPTY_HINT), "{hints:?}");
+        assert_eq!(hints.iter().min(), Some(&0), "{hints:?}");
+        for i in 0..2 {
+            assert_eq!(
+                hint(i) == EMPTY_HINT,
+                mq.queues[i].approx_len() == 0,
+                "queue {i}"
+            );
+        }
     }
 
     #[test]
@@ -2096,190 +2106,134 @@ mod tests {
         assert_eq!(mq.len(), 3);
     }
 
-    /// A MultiQueue over every substrate, for the cross-substrate tests.
-    fn mq_on(substrate: SubstrateCfg, m: usize, mode: DeleteMode) -> MultiQueue<u64> {
-        MultiQueue::with_substrate(
-            (0..m).map(|_| BinaryHeap::new()).collect(),
-            mode,
-            PolicyCfg::TwoChoice,
-            substrate,
-        )
-    }
-
     #[test]
-    fn builder_selects_the_substrate() {
-        for cfg in SubstrateCfg::all() {
-            let mq: MultiQueue<u64> = MultiQueueBuilder::default()
-                .queues(4)
-                .substrate(cfg)
-                .build();
-            assert_eq!(mq.substrate(), cfg);
-            let mut h = mq.handle(7);
-            h.insert(3, 30);
-            assert_eq!(h.dequeue(), Some((3, 30)));
-        }
-    }
-
-    #[test]
-    fn every_substrate_conserves_under_concurrency() {
-        for cfg in SubstrateCfg::all() {
-            for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-                let mq = Arc::new(mq_on(cfg, 4, mode));
-                let threads = 4usize;
-                let per = 2_000u64;
-                let popped: u64 = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|t| {
-                            let mq = Arc::clone(&mq);
-                            s.spawn(move || {
-                                let mut h = mq.handle(t as u64 + 1);
-                                let mut got = 0u64;
-                                for i in 0..per {
-                                    h.insert(i, i);
-                                    if i % 3 == 0 && h.dequeue().is_some() {
-                                        got += 1;
-                                    }
+    fn conserves_under_concurrency_in_both_modes() {
+        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
+            let mq = Arc::new(MultiQueue::<u64>::with_queues(
+                (0..4).map(|_| BinaryHeap::new()).collect(),
+                mode,
+            ));
+            let threads = 4usize;
+            let per = 2_000u64;
+            let popped: u64 = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let mq = Arc::clone(&mq);
+                        s.spawn(move || {
+                            let mut h = mq.handle(t as u64 + 1);
+                            let mut got = 0u64;
+                            for i in 0..per {
+                                h.insert(i, i);
+                                if i % 3 == 0 && h.dequeue().is_some() {
+                                    got += 1;
                                 }
-                                got
-                            })
+                            }
+                            got
                         })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).sum()
-                });
-                let left = mq.drain_sorted().len() as u64;
-                assert_eq!(
-                    popped + left,
-                    threads as u64 * per,
-                    "lost or duplicated entries on {cfg} / {mode:?}"
-                );
-                assert!(mq.is_empty());
-            }
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            let left = mq.drain_sorted().len() as u64;
+            assert_eq!(
+                popped + left,
+                threads as u64 * per,
+                "lost or duplicated entries in {mode:?}"
+            );
+            assert!(mq.is_empty());
         }
     }
 
     #[test]
-    fn every_policy_runs_on_every_substrate() {
+    fn every_policy_drains_everything() {
         let policies = [
             PolicyCfg::TwoChoice,
             PolicyCfg::DChoice { d: 4 },
             PolicyCfg::Sticky { ops: 4 },
             PolicyCfg::AdaptiveSticky { s_max: 8 },
         ];
-        for cfg in SubstrateCfg::all() {
-            for policy in policies {
-                let mq: MultiQueue<u64> = MultiQueue::with_substrate(
-                    (0..4).map(|_| BinaryHeap::new()).collect(),
-                    DeleteMode::Strict,
-                    policy,
-                    cfg,
-                );
-                let mut h = mq.handle(9);
-                for p in 0..500u64 {
-                    h.insert(p, p);
-                }
-                let mut n = 0usize;
-                while h.dequeue().is_some() {
-                    n += 1;
-                }
-                assert_eq!(n, 500, "policy {policy:?} on {cfg} lost entries");
-            }
-        }
-    }
-
-    #[test]
-    fn stamps_are_unique_and_complete_on_every_substrate() {
-        use std::collections::BTreeSet;
-        for cfg in SubstrateCfg::all() {
-            let mq = Arc::new(mq_on(cfg, 4, DeleteMode::Strict));
-            let stamper = AtomicU64::new(0);
-            let threads = 4usize;
-            let per = 500u64;
-            let mut all: Vec<(u64, u64)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let mq = Arc::clone(&mq);
-                        let stamper = &stamper;
-                        s.spawn(move || {
-                            let mut h = mq.handle(t as u64 + 11);
-                            let mut st = h.stamped(stamper);
-                            let mut out = Vec::new();
-                            for i in 0..per {
-                                let ins = st.insert(i, i);
-                                out.push((ins, 0));
-                                if let Some((_, _, deq)) = st.dequeue() {
-                                    out.push((deq, 1));
-                                }
-                            }
-                            while let Some((_, _, deq)) = st.dequeue() {
-                                out.push((deq, 1));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap())
-                    .collect()
-            });
-            let inserts = all.iter().filter(|(_, k)| *k == 0).count() as u64;
-            let dequeues = all.iter().filter(|(_, k)| *k == 1).count() as u64;
-            assert_eq!(
-                inserts,
-                threads as u64 * per,
-                "all inserts stamped on {cfg}"
+        for policy in policies {
+            let mq: MultiQueue<u64> = MultiQueue::with_config(
+                (0..4).map(|_| BinaryHeap::new()).collect(),
+                DeleteMode::Strict,
+                policy,
             );
-            assert_eq!(dequeues, inserts, "drain served everything on {cfg}");
-            all.sort_unstable();
-            let stamps: BTreeSet<u64> = all.iter().map(|(s, _)| *s).collect();
-            assert_eq!(stamps.len(), all.len(), "duplicate stamps issued on {cfg}");
-        }
-    }
-
-    /// Poisons queue `i` of `mq` through the substrate-appropriate
-    /// guard (panic inside the critical section / drain window).
-    fn poison_substrate_queue(mq: &MultiQueue<u64>, i: usize) {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &mq.queues[i] {
-            dlz_pq::Substrate::Locked(q) => q.with_locked(|_| -> () { panic!("injected fault") }),
-            dlz_pq::Substrate::LockFree(q) => {
-                let mut stats = ContentionStats::new();
-                let _g = q
-                    .drain_lock(true, &mut stats)
-                    .expect("not yet poisoned")
-                    .expect("blocking acquire");
-                panic!("injected fault")
-            }
-            dlz_pq::Substrate::Combining(q) => {
-                let _g = q.core().lock();
-                panic!("injected fault")
-            }
-        }));
-        assert!(r.is_err(), "the injected panic must propagate");
-        assert!(mq.queues[i].is_poisoned(), "queue {i} should be poisoned");
-    }
-
-    #[test]
-    fn salvage_recovers_poisoned_queues_on_every_substrate() {
-        for cfg in SubstrateCfg::all() {
-            let mq = mq_on(cfg, 4, DeleteMode::Strict);
-            let mut h = mq.handle(21);
-            for p in 0..200u64 {
+            let mut h = mq.handle(9);
+            for p in 0..500u64 {
                 h.insert(p, p);
             }
-            poison_substrate_queue(&mq, 0);
-            poison_substrate_queue(&mq, 2);
-            let outcome = mq.salvage();
-            assert_eq!(outcome.queues_salvaged, 2, "on {cfg}");
-            assert!(!mq.queues[0].is_poisoned());
-            assert!(!mq.queues[2].is_poisoned());
-            // Every entry survives: the panics were injected before any
-            // mutation, so salvage re-homes the full contents.
             let mut n = 0usize;
             while h.dequeue().is_some() {
                 n += 1;
             }
-            assert_eq!(n, 200, "entries lost through salvage on {cfg}");
-            assert!(mq.is_empty());
+            assert_eq!(n, 500, "policy {policy:?} lost entries");
         }
+    }
+
+    #[test]
+    fn stamps_are_unique_and_complete() {
+        use std::collections::BTreeSet;
+        let mq = Arc::new(MultiQueue::<u64>::new(4));
+        let stamper = AtomicU64::new(0);
+        let threads = 4usize;
+        let per = 500u64;
+        let mut all: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let mq = Arc::clone(&mq);
+                    let stamper = &stamper;
+                    s.spawn(move || {
+                        let mut h = mq.handle(t as u64 + 11);
+                        let mut st = h.stamped(stamper);
+                        let mut out = Vec::new();
+                        for i in 0..per {
+                            let ins = st.insert(i, i);
+                            out.push((ins, 0));
+                            if let Some((_, _, deq)) = st.dequeue() {
+                                out.push((deq, 1));
+                            }
+                        }
+                        while let Some((_, _, deq)) = st.dequeue() {
+                            out.push((deq, 1));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let inserts = all.iter().filter(|(_, k)| *k == 0).count() as u64;
+        let dequeues = all.iter().filter(|(_, k)| *k == 1).count() as u64;
+        assert_eq!(inserts, threads as u64 * per, "all inserts stamped");
+        assert_eq!(dequeues, inserts, "drain served everything");
+        all.sort_unstable();
+        let stamps: BTreeSet<u64> = all.iter().map(|(s, _)| *s).collect();
+        assert_eq!(stamps.len(), all.len(), "duplicate stamps issued");
+    }
+
+    #[test]
+    fn salvage_recovers_every_entry_of_poisoned_queues() {
+        let mq: MultiQueue<u64> = MultiQueue::new(4);
+        let mut h = mq.handle(21);
+        for p in 0..200u64 {
+            h.insert(p, p);
+        }
+        poison_queue(&mq, 0);
+        poison_queue(&mq, 2);
+        let outcome = mq.salvage();
+        assert_eq!(outcome.queues_salvaged, 2);
+        assert!(!mq.queues[0].is_poisoned());
+        assert!(!mq.queues[2].is_poisoned());
+        // Every entry survives: the panics were injected before any
+        // mutation, so salvage re-homes the full contents.
+        let mut n = 0usize;
+        while h.dequeue().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 200, "entries lost through salvage");
+        assert!(mq.is_empty());
     }
 }

@@ -66,8 +66,9 @@ pub trait QueueView {
     fn num_queues(&self) -> usize;
 
     /// Queue `i`'s published min-priority hint (`u64::MAX` when the
-    /// queue is believed empty). Lock-free and possibly stale — that
-    /// staleness is the relaxation the paper analyzes.
+    /// queue is believed empty, and while it is poisoned by a panicked
+    /// critical section). Lock-free and possibly stale — that staleness
+    /// is the relaxation the paper analyzes.
     fn queue_hint(&self, i: usize) -> u64;
 
     /// Queue `i`'s header generation, or `None` while its lock is held.
@@ -75,18 +76,6 @@ pub trait QueueView {
     /// snapshots counts the critical sections that completed in
     /// between (see [`dlz_pq::locked::header::gen_delta`]).
     fn queue_generation(&self, i: usize) -> Option<u64>;
-
-    /// `true` if queue `i` is poisoned (a critical section panicked in
-    /// it) and should be chosen around. Defaults to `false` for views
-    /// that cannot be poisoned. Poisoned queues also publish the empty
-    /// hint, so hint-driven dequeue sampling skips them without an
-    /// extra check — this predicate exists for callers that need the
-    /// distinction (e.g. a policy that picks queues without reading
-    /// hints).
-    fn queue_poisoned(&self, i: usize) -> bool {
-        let _ = i;
-        false
-    }
 }
 
 /// Which kind of operation a policy callback refers to.

@@ -1,4 +1,4 @@
-//! # dlz-pq — priority-queue substrates
+//! # dlz-pq — the per-queue building blocks of the MultiQueue
 //!
 //! Sequential priority queues and the locking machinery used to turn them
 //! into the "m linearizable priority queues" assumed by Algorithm 2 of
@@ -22,17 +22,10 @@
 //!   header word (see [`locked::header`]), cache-padded together with
 //!   the published minimum hint so that readers can perform the
 //!   *ReadMin* step of Algorithm 2 without taking the lock and without
-//!   false sharing.
-//! * [`LockFreePq`] — the lock-free substrate: inserts are a single CAS
-//!   push onto a Treiber-style pending stack (never touching a lock
-//!   bit), dequeues *claim* the whole pending stack with one swap and
-//!   drain it into a queue-local sequential heap.
-//! * [`CombiningPq`] — the claim-based flat combiner: contended
-//!   dequeuers deposit requests into cache-padded publication slots and
-//!   the current lock holder serves them all under one acquisition.
-//! * [`Substrate`] / [`SubstrateCfg`] — the per-queue substrate switch
-//!   that puts all three disciplines behind one whole-operation surface
-//!   for the MultiQueue.
+//!   false sharing. It is the MultiQueue's only per-queue queue: its
+//!   `attempt_*` methods make one acquisition each and report the
+//!   [`outcome`] ([`InsertOutcome`], [`DequeueOutcome`], [`BatchPush`],
+//!   [`BatchPop`]), drawing history stamps inside the critical section.
 //! * [`CoarsePq`] — an exact concurrent priority queue (one global lock),
 //!   used as the non-relaxed baseline in benchmarks.
 //! * [`ContentionStats`] — plain-`u64`, single-owner hot-path counters
@@ -46,27 +39,23 @@
 
 pub mod binary_heap;
 pub mod coarse;
-pub mod combining;
 pub mod locked;
-pub mod lockfree;
+pub mod outcome;
 pub mod padded;
 pub mod pairing_heap;
 pub mod parking_lot;
 pub mod skiplist;
 pub mod spinlock;
 pub mod stats;
-pub mod substrate;
 pub mod traits;
 
 pub use binary_heap::BinaryHeap;
 pub use coarse::CoarsePq;
-pub use combining::{CombiningPq, COMBINING_SLOTS};
 pub use locked::{Contended, LockedPq, ParkingLotPq, Poisoned, PqGuard};
-pub use lockfree::{DrainGuard, LockFreePq};
+pub use outcome::{BatchPop, BatchPush, DequeueOutcome, InsertOutcome};
 pub use padded::CachePadded;
 pub use pairing_heap::PairingHeap;
 pub use skiplist::SkipListPq;
 pub use spinlock::{Backoff, SpinGuard, SpinLock};
 pub use stats::ContentionStats;
-pub use substrate::{BatchPop, BatchPush, DequeueOutcome, InsertOutcome, Substrate, SubstrateCfg};
 pub use traits::{ConcurrentPq, SeqPriorityQueue};

@@ -28,13 +28,14 @@
 //! construction.
 //!
 //! [`ParkingLotPq`] is the same interface over `parking_lot::Mutex`,
-//! used by the lock-substrate ablation benchmark; it keeps the
+//! used by the lock ablation benchmark; it keeps the
 //! separate-words layout and thereby doubles as the "unpacked" baseline.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::binary_heap::BinaryHeap;
+use crate::outcome::{BatchPop, BatchPush, DequeueOutcome, InsertOutcome};
 use crate::padded::CachePadded;
 use crate::parking_lot;
 use crate::spinlock::Backoff;
@@ -485,6 +486,159 @@ impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
     pub fn approx_len(&self) -> usize {
         header::count(self.hot.header.load(Ordering::Acquire)) as usize
     }
+
+    /// Drains every entry the sequential queue still serves into `out`
+    /// and returns the queue to service: acquired past any poison via
+    /// [`salvage_lock`](Self::salvage_lock), whose release recounts
+    /// (now 0), republishes the hint and clears the poison bit. Also
+    /// usable on a healthy queue as a blocking drain.
+    pub fn salvage_into(&self, out: &mut Vec<(u64, V)>) {
+        let mut g = self.salvage_lock();
+        while let Some(e) = g.delete_min() {
+            out.push(e);
+        }
+    }
+}
+
+/// Draws the next history stamp, or 0 when no stamper is active
+/// (stamps are ordering keys only; 0 marks "unstamped run").
+#[inline]
+fn draw_stamp(stamper: Option<&AtomicU64>) -> u64 {
+    stamper.map_or(0, |s| s.fetch_add(1, Ordering::AcqRel))
+}
+
+/// Whole-operation attempts: the MultiQueue's per-queue surface.
+///
+/// Each method makes one acquisition — spinning past contention when
+/// `block` is set (strict mode), reporting it otherwise (try-lock
+/// mode) — and reports how it ended as an [`outcome`](crate::outcome)
+/// value. In history mode the stamp is drawn *inside* the critical
+/// section, i.e. at the operation's linearization point, so an entry's
+/// insert stamp is always below the stamp of the dequeue that serves
+/// it.
+impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
+    #[inline]
+    fn acquire<'g>(
+        &'g self,
+        block: bool,
+        stats: &'g mut ContentionStats,
+    ) -> Result<Option<PqGuard<'g, V, Q>>, Poisoned> {
+        if block {
+            self.checked_lock_with_stats(stats).map(Some)
+        } else {
+            self.checked_try_lock_with_stats(stats)
+        }
+    }
+
+    /// One insert attempt; a contended or poisoned attempt hands the
+    /// entry back.
+    pub fn attempt_insert(
+        &self,
+        priority: u64,
+        value: V,
+        block: bool,
+        stamper: Option<&AtomicU64>,
+        stats: &mut ContentionStats,
+    ) -> InsertOutcome<V> {
+        match self.acquire(block, stats) {
+            Ok(Some(mut g)) => {
+                g.add(priority, value);
+                let stamp = draw_stamp(stamper);
+                drop(g);
+                InsertOutcome::Done(stamp)
+            }
+            Ok(None) => InsertOutcome::Contended(priority, value),
+            Err(Poisoned) => InsertOutcome::Poisoned(priority, value),
+        }
+    }
+
+    /// One dequeue attempt. `block` gates the lock acquisition only —
+    /// an acquired-but-empty queue reports [`DequeueOutcome::Empty`]
+    /// immediately in both modes (the MultiQueue re-chooses).
+    pub fn attempt_dequeue(
+        &self,
+        block: bool,
+        stamper: Option<&AtomicU64>,
+        stats: &mut ContentionStats,
+    ) -> DequeueOutcome<V> {
+        match self.acquire(block, stats) {
+            Ok(Some(mut g)) => match g.delete_min() {
+                Some((p, v)) => {
+                    let stamp = draw_stamp(stamper);
+                    drop(g);
+                    DequeueOutcome::Served(p, v, stamp)
+                }
+                None => DequeueOutcome::Empty,
+            },
+            Ok(None) => DequeueOutcome::Contended,
+            Err(Poisoned) => DequeueOutcome::Poisoned,
+        }
+    }
+
+    /// One batch-insert attempt: a single acquisition and a single hint
+    /// publish cover the whole batch. Per-item stamps land in
+    /// `stamped.1` in insertion order.
+    pub fn attempt_insert_batch<I>(
+        &self,
+        items: I,
+        block: bool,
+        mut stamped: Option<(&AtomicU64, &mut Vec<u64>)>,
+        stats: &mut ContentionStats,
+    ) -> BatchPush<I>
+    where
+        I: IntoIterator<Item = (u64, V)>,
+    {
+        match self.acquire(block, stats) {
+            Ok(Some(mut g)) => {
+                let mut n = 0usize;
+                for (p, v) in items {
+                    g.add(p, v);
+                    if let Some((stamper, stamps)) = stamped.as_mut() {
+                        stamps.push(stamper.fetch_add(1, Ordering::AcqRel));
+                    }
+                    n += 1;
+                }
+                drop(g); // one hint publish for the whole batch
+                BatchPush::Done(n)
+            }
+            Ok(None) => BatchPush::Contended(items),
+            Err(Poisoned) => BatchPush::Poisoned(items),
+        }
+    }
+
+    /// One batch-dequeue attempt: up to `max` entries stream into
+    /// `sink` as `(priority, value, stamp)` under a single acquisition.
+    pub fn attempt_dequeue_batch(
+        &self,
+        max: usize,
+        block: bool,
+        stamper: Option<&AtomicU64>,
+        sink: &mut impl FnMut(u64, V, u64),
+        stats: &mut ContentionStats,
+    ) -> BatchPop {
+        match self.acquire(block, stats) {
+            Ok(Some(mut g)) => {
+                let mut n = 0usize;
+                while n < max {
+                    match g.delete_min() {
+                        Some((p, v)) => {
+                            sink(p, v, draw_stamp(stamper));
+                            n += 1;
+                        }
+                        None => break,
+                    }
+                }
+                drop(g); // single hint publish for the batch
+                if n > 0 {
+                    BatchPop::Served(n)
+                } else {
+                    BatchPop::Empty
+                }
+            }
+            Ok(None) => BatchPop::Contended,
+            Err(Poisoned) => BatchPop::Poisoned,
+        }
+    }
 }
 
 impl<V, Q: SeqPriorityQueue<u64, V>> std::fmt::Debug for LockedPq<V, Q> {
@@ -539,17 +693,6 @@ pub struct PqGuard<'a, V, Q: SeqPriorityQueue<u64, V>> {
     /// Counter sink for the release protocol (hint republishes); `None`
     /// from the uninstrumented entry points.
     stats: Option<&'a mut ContentionStats>,
-}
-
-impl<V, Q: SeqPriorityQueue<u64, V>> PqGuard<'_, V, Q> {
-    /// The counter sink this guard was acquired with, if any — lets a
-    /// layered substrate (the flat combiner) record events that happen
-    /// inside the critical section while the guard holds the exclusive
-    /// borrow of the stats.
-    #[inline]
-    pub(crate) fn stats_mut(&mut self) -> Option<&mut ContentionStats> {
-        self.stats.as_deref_mut()
-    }
 }
 
 impl<V, Q: SeqPriorityQueue<u64, V>> std::ops::Deref for PqGuard<'_, V, Q> {
@@ -1031,6 +1174,141 @@ mod tests {
         }
         // The poison itself is untouched by the failed acquires.
         assert!(q.is_poisoned());
+    }
+
+    #[test]
+    fn attempts_report_served_empty_and_contended() {
+        let q: LockedPq<u64> = LockedPq::default();
+        let mut stats = ContentionStats::new();
+        assert!(matches!(
+            q.attempt_insert(5, 50, true, None, &mut stats),
+            InsertOutcome::Done(0)
+        ));
+        assert!(matches!(
+            q.attempt_insert(3, 30, false, None, &mut stats),
+            InsertOutcome::Done(0)
+        ));
+        assert_eq!(q.min_hint(), 3);
+        assert_eq!(q.approx_len(), 2);
+        match q.attempt_dequeue(true, None, &mut stats) {
+            DequeueOutcome::Served(3, 30, 0) => {}
+            other => panic!("expected Served(3, 30, 0), got {other:?}"),
+        }
+        q.with_locked(|_| {
+            let mut s = ContentionStats::new();
+            assert!(matches!(
+                q.attempt_insert(1, 10, false, None, &mut s),
+                InsertOutcome::Contended(1, 10)
+            ));
+            assert!(matches!(
+                q.attempt_dequeue(false, None, &mut s),
+                DequeueOutcome::Contended
+            ));
+            assert_eq!(s.try_lock_failures, 2);
+        });
+        match q.attempt_dequeue(false, None, &mut stats) {
+            DequeueOutcome::Served(5, 50, 0) => {}
+            other => panic!("expected Served(5, 50, 0), got {other:?}"),
+        }
+        assert!(matches!(
+            q.attempt_dequeue(true, None, &mut stats),
+            DequeueOutcome::Empty
+        ));
+        assert_eq!(q.approx_len(), 0);
+    }
+
+    #[test]
+    fn batch_attempts_take_one_acquisition() {
+        let q: LockedPq<u64> = LockedPq::default();
+        let mut stats = ContentionStats::new();
+        let g0 = q.generation().expect("unlocked");
+        match q.attempt_insert_batch(vec![(4, 40u64), (1, 10), (9, 90)], true, None, &mut stats) {
+            BatchPush::Done(3) => {}
+            other => panic!("expected Done(3), got {other:?}"),
+        }
+        assert_eq!(q.approx_len(), 3);
+        assert_eq!(header::gen_delta(g0, q.generation().unwrap()), 1);
+        let mut got = Vec::new();
+        let served =
+            q.attempt_dequeue_batch(2, true, None, &mut |p, v, _| got.push((p, v)), &mut stats);
+        assert_eq!(served, BatchPop::Served(2));
+        assert_eq!(got, vec![(1, 10), (4, 40)]);
+        let served = q.attempt_dequeue_batch(8, true, None, &mut |_, _, _| {}, &mut stats);
+        assert_eq!(served, BatchPop::Served(1));
+        let served = q.attempt_dequeue_batch(8, true, None, &mut |_, _, _| {}, &mut stats);
+        assert_eq!(served, BatchPop::Empty);
+    }
+
+    #[test]
+    fn attempt_stamps_are_monotone_and_inserts_precede_their_dequeue() {
+        let q: LockedPq<u64> = LockedPq::default();
+        let stamper = AtomicU64::new(1);
+        let mut stats = ContentionStats::new();
+        let mut stamps = Vec::new();
+        match q.attempt_insert(7, 70, true, Some(&stamper), &mut stats) {
+            InsertOutcome::Done(s) => stamps.push(s),
+            other => panic!("{other:?}"),
+        }
+        let mut batch_stamps = Vec::new();
+        match q.attempt_insert_batch(
+            vec![(2, 20u64), (8, 80)],
+            true,
+            Some((&stamper, &mut batch_stamps)),
+            &mut stats,
+        ) {
+            BatchPush::Done(2) => stamps.extend(batch_stamps),
+            other => panic!("{other:?}"),
+        }
+        match q.attempt_dequeue(true, Some(&stamper), &mut stats) {
+            DequeueOutcome::Served(2, 20, s) => stamps.push(s),
+            other => panic!("{other:?}"),
+        }
+        assert!(
+            stamps.windows(2).all(|w| w[0] < w[1]),
+            "stamps {stamps:?} not strictly increasing"
+        );
+        // The insert that produced entry (2, 20) is stamped below the
+        // dequeue that served it.
+        assert!(stamps[1] < stamps[3], "insert stamped after its dequeue");
+    }
+
+    #[test]
+    fn poisoned_attempts_hand_entries_back_and_salvage_into_recovers() {
+        let q: LockedPq<u64> = LockedPq::default();
+        let mut stats = ContentionStats::new();
+        for p in [6u64, 2, 4] {
+            assert!(matches!(
+                q.attempt_insert(p, p * 10, true, None, &mut stats),
+                InsertOutcome::Done(_)
+            ));
+        }
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.with_locked(|_| -> () { panic!("injected") })
+        }));
+        assert!(err.is_err());
+        assert!(q.is_poisoned());
+        assert!(matches!(
+            q.attempt_insert(1, 1, false, None, &mut stats),
+            InsertOutcome::Poisoned(1, 1)
+        ));
+        assert!(matches!(
+            q.attempt_dequeue(true, None, &mut stats),
+            DequeueOutcome::Poisoned
+        ));
+        assert!(matches!(
+            q.attempt_insert_batch(vec![(1, 1u64)], true, None, &mut stats),
+            BatchPush::Poisoned(_)
+        ));
+        assert_eq!(
+            q.attempt_dequeue_batch(4, false, None, &mut |_, _, _| {}, &mut stats),
+            BatchPop::Poisoned
+        );
+        let mut out = Vec::new();
+        q.salvage_into(&mut out);
+        assert!(!q.is_poisoned());
+        assert_eq!(out, vec![(2, 20), (4, 40), (6, 60)]);
+        assert_eq!(q.approx_len(), 0);
+        assert_eq!(q.min_hint(), EMPTY_HINT);
     }
 
     #[test]

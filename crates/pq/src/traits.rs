@@ -1,4 +1,4 @@
-//! Interfaces shared by all priority-queue substrates.
+//! Interfaces shared by all priority-queue implementations.
 
 /// A sequential min-priority queue with a peek operation.
 ///

@@ -1,6 +1,6 @@
-//! Queue-family backends: the MultiQueue (any sequential substrate,
-//! both delete modes, any choice policy) and every linearizable
-//! `dlz-pq` queue.
+//! Queue-family backends: the MultiQueue (any sequential queue, both
+//! delete modes, any choice policy) and every linearizable `dlz-pq`
+//! queue.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -86,42 +86,40 @@ where
 }
 
 impl MultiQueueBackend<BinaryHeap<u64, u64>> {
-    /// Binary-heap substrate (the default configuration: two-choice,
+    /// Binary heaps (the default configuration: two-choice,
     /// unbatched).
     pub fn heap(m: usize, mode: DeleteMode) -> Self {
         Self::heap_policy(m, mode, PolicyCfg::TwoChoice, 1)
     }
 
-    /// Binary-heap substrate with an explicit choice policy and batch
-    /// size — the configurations the `mq-hotpath` scenarios measure.
+    /// Binary heaps with an explicit choice policy and batch size —
+    /// the configurations the `mq-hotpath` scenarios measure.
     pub fn heap_policy(m: usize, mode: DeleteMode, policy: PolicyCfg, batch: usize) -> Self {
-        Self::heap_full(m, mode, policy, batch, SubstrateCfg::Locked)
-    }
-
-    /// The fully-dimensioned binary-heap constructor: choice policy,
-    /// batch size *and* per-queue substrate (packed lock, lock-free
-    /// pending stack, or flat combining) — the axis the substrate
-    /// head-to-heads sweep.
-    pub fn heap_full(
-        m: usize,
-        mode: DeleteMode,
-        policy: PolicyCfg,
-        batch: usize,
-        substrate: SubstrateCfg,
-    ) -> Self {
-        Self::with_queues_substrate(
+        Self::with_queues(
             (0..m).map(|_| BinaryHeap::new()).collect(),
             mode,
             policy,
             batch,
             "heap",
-            substrate,
         )
+    }
+
+    /// [`heap_policy`](Self::heap_policy) under its older name, which
+    /// also took the per-queue substrate; [`SubstrateCfg`] has one
+    /// variant, so the argument selects nothing.
+    pub fn heap_full(
+        m: usize,
+        mode: DeleteMode,
+        policy: PolicyCfg,
+        batch: usize,
+        _substrate: SubstrateCfg,
+    ) -> Self {
+        Self::heap_policy(m, mode, policy, batch)
     }
 }
 
 impl MultiQueueBackend<PairingHeap<u64, u64>> {
-    /// Pairing-heap substrate.
+    /// Pairing heaps.
     pub fn pairing(m: usize, mode: DeleteMode) -> Self {
         Self::with_queues(
             (0..m).map(|_| PairingHeap::new()).collect(),
@@ -134,7 +132,7 @@ impl MultiQueueBackend<PairingHeap<u64, u64>> {
 }
 
 impl MultiQueueBackend<SkipListPq<u64, u64>> {
-    /// Skip-list substrate.
+    /// Skip lists.
     pub fn skiplist(m: usize, mode: DeleteMode, seed: u64) -> Self {
         Self::with_queues(
             (0..m)
@@ -156,17 +154,6 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
         batch: usize,
         seq: &str,
     ) -> Self {
-        Self::with_queues_substrate(queues, mode, policy, batch, seq, SubstrateCfg::Locked)
-    }
-
-    fn with_queues_substrate(
-        queues: Vec<Q>,
-        mode: DeleteMode,
-        policy: PolicyCfg,
-        batch: usize,
-        seq: &str,
-        substrate: SubstrateCfg,
-    ) -> Self {
         let m = queues.len();
         let batch = batch.max(1);
         let mode_tag = match mode {
@@ -178,17 +165,10 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
         } else {
             String::new()
         };
-        // The substrate tag appears only when it deviates from the
-        // packed-lock default, so established labels stay unchanged.
-        let sub_tag = if substrate.is_default() {
-            String::new()
-        } else {
-            format!(",sub={}", substrate.label())
-        };
         MultiQueueBackend {
-            mq: MultiQueue::with_substrate(queues, mode, policy, substrate),
+            mq: MultiQueue::with_config(queues, mode, policy),
             batch,
-            label: format!("multiqueue-{seq}(m={m},{mode_tag}{tuning}{sub_tag})"),
+            label: format!("multiqueue-{seq}(m={m},{mode_tag}{tuning})"),
             clock: StampClock::new(),
             quality: QueueQuality::default(),
         }
@@ -207,11 +187,6 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
     /// Operations buffered per lock acquisition (1 = unbatched).
     pub fn batch(&self) -> usize {
         self.batch
-    }
-
-    /// The per-queue substrate the MultiQueue runs on.
-    pub fn substrate(&self) -> SubstrateCfg {
-        self.mq.substrate()
     }
 
     /// The rank envelope for a given factor: `RANK_BOUND_C · f · m`.
@@ -800,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn substrate_and_exact_backends_conserve() {
+    fn other_sequential_queues_and_exact_backends_conserve() {
         let backends: Vec<Box<dyn Backend>> = vec![
             Box::new(MultiQueueBackend::pairing(4, DeleteMode::TryLock)),
             Box::new(MultiQueueBackend::skiplist(4, DeleteMode::Strict, 3)),
@@ -867,37 +842,37 @@ mod tests {
     }
 
     #[test]
-    fn substrate_backends_conserve_and_tag_labels() {
-        for sub in SubstrateCfg::all() {
-            for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
-                let b = MultiQueueBackend::heap_full(4, mode, PolicyCfg::TwoChoice, 1, sub);
-                assert_eq!(b.substrate(), sub);
-                if sub.is_default() {
-                    assert!(!b.name().contains("sub="), "{}", b.name());
-                } else {
-                    assert!(
-                        b.name().contains(&format!("sub={}", sub.label())),
-                        "{}",
-                        b.name()
-                    );
-                }
-                let counts = drive(&b, 2_000, false);
-                b.verify(&counts)
-                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-            }
+    fn heap_full_conserves_in_both_modes() {
+        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
+            let b = MultiQueueBackend::heap_full(
+                4,
+                mode,
+                PolicyCfg::TwoChoice,
+                1,
+                SubstrateCfg::Locked,
+            );
+            assert_eq!(b.name(), MultiQueueBackend::heap(4, mode).name());
+            let counts = drive(&b, 2_000, false);
+            b.verify(&counts)
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
         }
     }
 
     #[test]
-    fn substrate_history_mode_replays_linearizable() {
-        for sub in [SubstrateCfg::LockFree, SubstrateCfg::Combining] {
-            let b =
-                MultiQueueBackend::heap_full(4, DeleteMode::Strict, PolicyCfg::TwoChoice, 1, sub);
+    fn history_mode_replays_linearizable_in_both_modes() {
+        for mode in [DeleteMode::Strict, DeleteMode::TryLock] {
+            let b = MultiQueueBackend::heap_full(
+                4,
+                mode,
+                PolicyCfg::TwoChoice,
+                1,
+                SubstrateCfg::Locked,
+            );
             let counts = drive(&b, 1_000, true);
             b.verify(&counts).expect("conservation");
             let q = b.quality();
             assert_eq!(q.metric, "dequeue_rank");
-            assert_eq!(q.get("linearizable"), Some(1.0), "{sub}: {q:?}");
+            assert_eq!(q.get("linearizable"), Some(1.0), "{mode:?}: {q:?}");
             assert!(q.summary.expect("costs").count > 0);
         }
     }

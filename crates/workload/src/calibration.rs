@@ -21,7 +21,7 @@
 use std::io::Write;
 use std::path::Path;
 
-use crate::json::{parse, JsonObject, JsonValue};
+use dlz_core::json::{parse, JsonObject, JsonValue};
 
 /// File name of the calibration store inside an export directory.
 pub const CALIBRATION_FILE: &str = "calibration.jsonl";
@@ -29,7 +29,7 @@ pub const CALIBRATION_FILE: &str = "calibration.jsonl";
 /// The lookup key: the dimensions a calibration factor is valid for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CalibrationKey {
-    /// Backend label (e.g. `multiqueue-heap(m=32,strict,sub=lockfree)`).
+    /// Backend label (e.g. `multiqueue-heap(m=32,strict)`).
     pub backend: String,
     /// Choice-policy label (e.g. `two-choice`, `sticky(s=16)`).
     pub policy: String,

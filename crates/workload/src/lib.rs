@@ -11,7 +11,7 @@
 //!   (uniform, Zipf, monotone), open/closed/bursty [`Arrival`]s,
 //!   prefill, seed. A named [`Scenario::catalog`] ships ≥ 6 presets.
 //! * [`Backend`] — the single interface every structure implements:
-//!   relaxed counters, the MultiQueue over any substrate, every
+//!   relaxed counters, the MultiQueue over any sequential queue, every
 //!   `dlz-pq` linearizable queue, and the TL2 STM
 //!   (see [`backends`]).
 //! * [`engine::run`] — the concurrent driver: barrier start, sharded
@@ -67,7 +67,6 @@ pub mod dist;
 pub mod driver;
 pub mod engine;
 pub mod faults;
-pub mod json;
 pub mod metrics;
 pub mod op;
 pub mod report;
