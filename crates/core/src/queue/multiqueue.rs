@@ -1324,22 +1324,49 @@ mod tests {
         assert_eq!(mq.len(), 0);
     }
 
+    /// A sorted `Vec`: the smallest `SeqPriorityQueue` that is not the
+    /// default heap, so the MultiQueue stays tested over a generic `Q`.
+    struct SortedVec(Vec<(u64, u64)>);
+
+    impl SeqPriorityQueue<u64, u64> for SortedVec {
+        fn add(&mut self, priority: u64, value: u64) {
+            // After every entry with priority <= `priority`: FIFO ties.
+            let at = self.0.partition_point(|(p, _)| *p <= priority);
+            self.0.insert(at, (priority, value));
+        }
+        fn delete_min(&mut self) -> Option<(u64, u64)> {
+            (!self.0.is_empty()).then(|| self.0.remove(0))
+        }
+        fn read_min(&self) -> Option<(&u64, &u64)> {
+            self.0.first().map(|(p, v)| (p, v))
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn clear(&mut self) {
+            self.0.clear();
+        }
+    }
+
     #[test]
-    fn works_with_skiplist_substrate() {
-        use dlz_pq::SkipListPq;
-        let mq: MultiQueue<u64, SkipListPq<u64, u64>> = MultiQueue::with_queues(
-            (0..4).map(|i| SkipListPq::with_seed(i as u64)).collect(),
+    fn works_with_a_non_default_sequential_queue() {
+        let mq: MultiQueue<u64, SortedVec> = MultiQueue::with_queues(
+            (0..4).map(|_| SortedVec(Vec::new())).collect(),
             DeleteMode::Strict,
         );
         let mut h = mq.handle(6);
         for p in 0..200u64 {
             h.insert(p, p);
         }
-        let mut n = 0;
-        while h.dequeue().is_some() {
-            n += 1;
+        assert_eq!(mq.len(), 200);
+        let mut out = Vec::new();
+        while let Some((p, v)) = h.dequeue() {
+            assert_eq!(p, v);
+            out.push(p);
         }
-        assert_eq!(n, 200);
+        out.sort_unstable();
+        assert_eq!(out, (0..200).collect::<Vec<_>>());
+        assert!(mq.is_empty());
     }
 
     #[test]

@@ -277,6 +277,54 @@ mod tests {
     }
 
     #[test]
+    fn matches_an_ordered_map_model_under_random_interleavings() {
+        use std::collections::BTreeMap;
+        for seed in 1..=8u64 {
+            let mut h = BinaryHeap::new();
+            // Keyed by (priority, insertion index): the map's order is the
+            // specification, FIFO among equal priorities included.
+            let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+            let mut next = 0u64;
+            let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+            for step in 0..20_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match x % 100 {
+                    0..=49 => {
+                        // Heavy ties: a handful of priorities, u64::MAX
+                        // among them, plus an occasional wide draw.
+                        let p = match (x >> 8) % 8 {
+                            0..=3 => (x >> 16) % 4,
+                            4 => u64::MAX,
+                            5 => u64::MAX - 1,
+                            _ => x >> 20,
+                        };
+                        h.add(p, step);
+                        model.insert((p, next), step);
+                        next += 1;
+                    }
+                    50..=79 => {
+                        let want = model.pop_first().map(|((p, _), v)| (p, v));
+                        assert_eq!(h.delete_min(), want, "seed {seed} step {step}");
+                    }
+                    80..=98 => {
+                        let want = model.first_key_value().map(|((p, _), v)| (p, v));
+                        assert_eq!(h.read_min(), want, "seed {seed} step {step}");
+                    }
+                    _ => {
+                        h.clear();
+                        model.clear();
+                    }
+                }
+                assert_eq!(h.len(), model.len(), "seed {seed} step {step}");
+            }
+            let rest: Vec<(u64, u64)> = model.into_iter().map(|((p, _), v)| (p, v)).collect();
+            assert_eq!(h.into_sorted_vec(), rest, "seed {seed} drain");
+        }
+    }
+
+    #[test]
     fn iter_unordered_visits_all() {
         let mut h = BinaryHeap::new();
         for i in 0..20u64 {

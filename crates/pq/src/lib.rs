@@ -8,13 +8,12 @@
 //!
 //! * [`SeqPriorityQueue`] — the sequential interface (`add`, `delete_min`,
 //!   `read_min`) that the paper's MultiQueue builds on.
-//! * Three interchangeable implementations with different constant-factor
-//!   trade-offs: [`BinaryHeap`], [`PairingHeap`] and [`SkipListPq`]. All of
-//!   them break priority ties in FIFO order using an internal sequence
+//! * [`BinaryHeap`] — its one implementation, an array-backed min-heap
+//!   that breaks priority ties in FIFO order using an internal sequence
 //!   number, which is what gives the MultiQueue its queue-like semantics
 //!   when priorities are timestamps.
-//! * [`SpinLock`] — a test-and-test-and-set lock with exponential backoff,
-//!   plus the [`Backoff`] helper it is built from.
+//! * [`Backoff`] — exponential spin-then-yield backoff for contended
+//!   retry loops.
 //! * [`CachePadded`] — 128-byte cache-line padding, shared with
 //!   `dlz-core` so every hot word in the workspace uses one definition.
 //! * [`LockedPq`] — a linearizable concurrent priority queue whose lock
@@ -36,26 +35,22 @@
 //! global RNG and no dependence on wall-clock time.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod backoff;
 pub mod binary_heap;
 pub mod coarse;
 pub mod locked;
 pub mod outcome;
 pub mod padded;
-pub mod pairing_heap;
-pub mod parking_lot;
-pub mod skiplist;
-pub mod spinlock;
 pub mod stats;
 pub mod traits;
 
+pub use backoff::Backoff;
 pub use binary_heap::BinaryHeap;
 pub use coarse::CoarsePq;
-pub use locked::{Contended, LockedPq, ParkingLotPq, Poisoned, PqGuard};
+pub use locked::{Contended, LockedPq, Poisoned, PqGuard};
 pub use outcome::{BatchPop, BatchPush, DequeueOutcome, InsertOutcome};
 pub use padded::CachePadded;
-pub use pairing_heap::PairingHeap;
-pub use skiplist::SkipListPq;
-pub use spinlock::{Backoff, SpinGuard, SpinLock};
 pub use stats::ContentionStats;
 pub use traits::{ConcurrentPq, SeqPriorityQueue};

@@ -27,18 +27,16 @@
 //! precisely the relaxation the paper analyzes, so it is allowed by
 //! construction.
 //!
-//! [`ParkingLotPq`] is the same interface over `parking_lot::Mutex`,
-//! used by the lock ablation benchmark; it keeps the
-//! separate-words layout and thereby doubles as the "unpacked" baseline.
+//! The sequential queue `Q` is generic; [`BinaryHeap`] is the default
+//! and the only implementation the crate ships.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::backoff::Backoff;
 use crate::binary_heap::BinaryHeap;
 use crate::outcome::{BatchPop, BatchPush, DequeueOutcome, InsertOutcome};
 use crate::padded::CachePadded;
-use crate::parking_lot;
-use crate::spinlock::Backoff;
 use crate::stats::ContentionStats;
 use crate::traits::{ConcurrentPq, SeqPriorityQueue};
 
@@ -190,6 +188,9 @@ where
 // `Q: Send` suffices because only one thread observes `&mut Q` at a
 // time (same argument as a mutex).
 unsafe impl<V, Q: SeqPriorityQueue<u64, V> + Send> Sync for LockedPq<V, Q> {}
+// SAFETY: moving a `LockedPq` to another thread moves its fields: the
+// padded header and hint are atomics, `inner` is the `Q` itself, which
+// `Q: Send` permits, and the `fn() -> V` marker holds no `V`.
 unsafe impl<V, Q: SeqPriorityQueue<u64, V> + Send> Send for LockedPq<V, Q> {}
 
 impl<V, Q: SeqPriorityQueue<u64, V>> LockedPq<V, Q> {
@@ -758,88 +759,6 @@ impl<V, Q: SeqPriorityQueue<u64, V>> Drop for PqGuard<'_, V, Q> {
     }
 }
 
-/// [`LockedPq`]'s twin over `parking_lot::Mutex`, for the lock ablation.
-///
-/// Under heavy contention an OS-assisted lock parks waiting threads
-/// instead of burning cycles; the ablation benchmark quantifies what
-/// that costs on the short critical sections of a MultiQueue. It keeps
-/// the original three-word layout (mutex, hint, count), so it also
-/// serves as the unpacked baseline for the packed-header comparison.
-#[derive(Debug)]
-pub struct ParkingLotPq<V, Q = BinaryHeap<u64, V>>
-where
-    Q: SeqPriorityQueue<u64, V>,
-{
-    inner: parking_lot::Mutex<Q>,
-    top: AtomicU64,
-    count: AtomicUsize,
-    _marker: std::marker::PhantomData<fn() -> V>,
-}
-
-impl<V, Q: SeqPriorityQueue<u64, V>> ParkingLotPq<V, Q> {
-    /// Wraps a sequential queue.
-    pub fn new(queue: Q) -> Self {
-        let top = queue.read_min().map(|(p, _)| *p).unwrap_or(EMPTY_HINT);
-        let count = queue.len();
-        ParkingLotPq {
-            inner: parking_lot::Mutex::new(queue),
-            top: AtomicU64::new(top),
-            count: AtomicUsize::new(count),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    fn publish(&self, guard: &parking_lot::MutexGuard<'_, Q>) {
-        let top = guard.read_min().map(|(p, _)| *p).unwrap_or(EMPTY_HINT);
-        if self.top.load(Ordering::Relaxed) != top {
-            self.top.store(top, Ordering::Release);
-        }
-        self.count.store(guard.len(), Ordering::Release);
-    }
-
-    /// Non-blocking `remove_min`: `Err(Contended)` if the lock is held.
-    pub fn try_remove_min(&self) -> Result<Option<(u64, V)>, Contended> {
-        match self.inner.try_lock() {
-            Some(mut guard) => {
-                let out = guard.delete_min();
-                self.publish(&guard);
-                Ok(out)
-            }
-            None => Err(Contended),
-        }
-    }
-}
-
-impl<V, Q: SeqPriorityQueue<u64, V> + Default> Default for ParkingLotPq<V, Q> {
-    fn default() -> Self {
-        Self::new(Q::default())
-    }
-}
-
-impl<V: Send, Q: SeqPriorityQueue<u64, V> + Send> ConcurrentPq<V> for ParkingLotPq<V, Q> {
-    fn insert(&self, priority: u64, value: V) {
-        let mut guard = self.inner.lock();
-        guard.add(priority, value);
-        self.publish(&guard);
-    }
-
-    fn remove_min(&self) -> Option<(u64, V)> {
-        let mut guard = self.inner.lock();
-        let out = guard.delete_min();
-        self.publish(&guard);
-        out
-    }
-
-    #[inline]
-    fn min_hint(&self) -> u64 {
-        self.top.load(Ordering::Acquire)
-    }
-
-    fn approx_len(&self) -> usize {
-        self.count.load(Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1081,18 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn parking_lot_variant_basics() {
-        let q: ParkingLotPq<char> = ParkingLotPq::default();
-        q.insert(2, 'b');
-        q.insert(1, 'a');
-        assert_eq!(q.min_hint(), 1);
-        assert_eq!(q.remove_min(), Some((1, 'a')));
-        assert_eq!(q.remove_min(), Some((2, 'b')));
-        assert_eq!(q.remove_min(), None);
-        assert_eq!(q.min_hint(), EMPTY_HINT);
-    }
-
-    #[test]
     fn header_pack_never_sets_poison_and_poison_preserves_fields() {
         let w = header::pack(true, 5, 9);
         assert!(!header::is_poisoned(w));
@@ -1311,15 +1218,45 @@ mod tests {
         assert_eq!(q.min_hint(), EMPTY_HINT);
     }
 
+    /// A sorted `Vec`: the smallest `SeqPriorityQueue` that is not the
+    /// default heap, so `LockedPq` stays tested over a generic `Q`.
+    struct SortedVec<V>(Vec<(u64, V)>);
+
+    impl<V> SeqPriorityQueue<u64, V> for SortedVec<V> {
+        fn add(&mut self, priority: u64, value: V) {
+            // After every entry with priority <= `priority`: FIFO ties.
+            let at = self.0.partition_point(|(p, _)| *p <= priority);
+            self.0.insert(at, (priority, value));
+        }
+        fn delete_min(&mut self) -> Option<(u64, V)> {
+            (!self.0.is_empty()).then(|| self.0.remove(0))
+        }
+        fn read_min(&self) -> Option<(&u64, &V)> {
+            self.0.first().map(|(p, v)| (p, v))
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn clear(&mut self) {
+            self.0.clear();
+        }
+    }
+
     #[test]
-    fn works_with_skiplist_substrate() {
-        use crate::skiplist::SkipListPq;
-        let q: LockedPq<u64, SkipListPq<u64, u64>> = LockedPq::new(SkipListPq::with_seed(3));
+    fn works_with_a_non_default_sequential_queue() {
+        let q: LockedPq<u64, SortedVec<u64>> = LockedPq::new(SortedVec(Vec::new()));
         for i in (0..100u64).rev() {
             q.insert(i, i);
         }
-        for i in 0..100u64 {
+        q.insert(0, 1000);
+        assert_eq!(q.min_hint(), 0);
+        assert_eq!(q.approx_len(), 101);
+        assert_eq!(q.remove_min(), Some((0, 0)));
+        assert_eq!(q.remove_min(), Some((0, 1000)));
+        for i in 1..100u64 {
             assert_eq!(q.remove_min(), Some((i, i)));
         }
+        assert_eq!(q.remove_min(), None);
+        assert_eq!(q.min_hint(), EMPTY_HINT);
     }
 }

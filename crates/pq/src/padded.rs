@@ -1,6 +1,6 @@
 //! Cache-line padding to prevent false sharing.
 //!
-//! The MultiQueue spreads contention over `m` independent spinlocked
+//! The MultiQueue spreads contention over `m` independent locked
 //! queues; the MultiCounter does the same over `m` atomic words. If the
 //! hot words of adjacent slots shared cache lines, hardware would
 //! re-serialize them: every lock acquisition or hint publish would

@@ -1,6 +1,5 @@
-//! Queue-family backends: the MultiQueue (any sequential queue, both
-//! delete modes, any choice policy) and every linearizable `dlz-pq`
-//! queue.
+//! Queue-family backends: the MultiQueue (both delete modes, any
+//! choice policy) and the exact single-lock `CoarsePq` baseline.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -11,10 +10,7 @@ use dlz_core::spec::{
 use dlz_core::{
     AnyPolicy, ChoicePolicy, DeleteMode, MqHandle, MultiQueue, PolicyCfg, SubstrateCfg,
 };
-use dlz_pq::{
-    BinaryHeap, CoarsePq, ConcurrentPq, LockedPq, PairingHeap, ParkingLotPq, SeqPriorityQueue,
-    SkipListPq,
-};
+use dlz_pq::{BinaryHeap, CoarsePq, ConcurrentPq};
 
 use crate::backend::{Backend, QualityReport, QualitySummary, Worker, WorkerCfg};
 use crate::metrics::TelemetrySample;
@@ -74,18 +70,15 @@ impl QueueQuality {
 /// any worker observed (`s` for sticky policies, the observed max `s`
 /// for adaptive ones).
 #[derive(Debug)]
-pub struct MultiQueueBackend<Q = BinaryHeap<u64, u64>>
-where
-    Q: SeqPriorityQueue<u64, u64> + Send,
-{
-    mq: MultiQueue<u64, Q>,
+pub struct MultiQueueBackend {
+    mq: MultiQueue<u64>,
     batch: usize,
     label: String,
     clock: StampClock,
     quality: QueueQuality,
 }
 
-impl MultiQueueBackend<BinaryHeap<u64, u64>> {
+impl MultiQueueBackend {
     /// Binary heaps (the default configuration: two-choice,
     /// unbatched).
     pub fn heap(m: usize, mode: DeleteMode) -> Self {
@@ -95,13 +88,23 @@ impl MultiQueueBackend<BinaryHeap<u64, u64>> {
     /// Binary heaps with an explicit choice policy and batch size —
     /// the configurations the `mq-hotpath` scenarios measure.
     pub fn heap_policy(m: usize, mode: DeleteMode, policy: PolicyCfg, batch: usize) -> Self {
-        Self::with_queues(
-            (0..m).map(|_| BinaryHeap::new()).collect(),
-            mode,
-            policy,
+        let batch = batch.max(1);
+        let mode_tag = match mode {
+            DeleteMode::Strict => "strict",
+            DeleteMode::TryLock => "trylock",
+        };
+        let tuning = if !policy.is_default() || batch > 1 {
+            format!(",{},b={batch}", policy.label())
+        } else {
+            String::new()
+        };
+        MultiQueueBackend {
+            mq: MultiQueue::with_config((0..m).map(|_| BinaryHeap::new()).collect(), mode, policy),
             batch,
-            "heap",
-        )
+            label: format!("multiqueue-heap(m={m},{mode_tag}{tuning})"),
+            clock: StampClock::new(),
+            quality: QueueQuality::default(),
+        }
     }
 
     /// [`heap_policy`](Self::heap_policy) under its older name, which
@@ -116,66 +119,9 @@ impl MultiQueueBackend<BinaryHeap<u64, u64>> {
     ) -> Self {
         Self::heap_policy(m, mode, policy, batch)
     }
-}
-
-impl MultiQueueBackend<PairingHeap<u64, u64>> {
-    /// Pairing heaps.
-    pub fn pairing(m: usize, mode: DeleteMode) -> Self {
-        Self::with_queues(
-            (0..m).map(|_| PairingHeap::new()).collect(),
-            mode,
-            PolicyCfg::TwoChoice,
-            1,
-            "pairing",
-        )
-    }
-}
-
-impl MultiQueueBackend<SkipListPq<u64, u64>> {
-    /// Skip lists.
-    pub fn skiplist(m: usize, mode: DeleteMode, seed: u64) -> Self {
-        Self::with_queues(
-            (0..m)
-                .map(|i| SkipListPq::with_seed(seed ^ i as u64))
-                .collect(),
-            mode,
-            PolicyCfg::TwoChoice,
-            1,
-            "skiplist",
-        )
-    }
-}
-
-impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
-    fn with_queues(
-        queues: Vec<Q>,
-        mode: DeleteMode,
-        policy: PolicyCfg,
-        batch: usize,
-        seq: &str,
-    ) -> Self {
-        let m = queues.len();
-        let batch = batch.max(1);
-        let mode_tag = match mode {
-            DeleteMode::Strict => "strict",
-            DeleteMode::TryLock => "trylock",
-        };
-        let tuning = if !policy.is_default() || batch > 1 {
-            format!(",{},b={batch}", policy.label())
-        } else {
-            String::new()
-        };
-        MultiQueueBackend {
-            mq: MultiQueue::with_config(queues, mode, policy),
-            batch,
-            label: format!("multiqueue-{seq}(m={m},{mode_tag}{tuning})"),
-            clock: StampClock::new(),
-            quality: QueueQuality::default(),
-        }
-    }
 
     /// The wrapped MultiQueue.
-    pub fn multiqueue(&self) -> &MultiQueue<u64, Q> {
+    pub fn multiqueue(&self) -> &MultiQueue<u64> {
         &self.mq
     }
 
@@ -206,7 +152,7 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueBackend<Q> {
     }
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> Backend for MultiQueueBackend<Q> {
+impl Backend for MultiQueueBackend {
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -349,10 +295,10 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Backend for MultiQueueBackend<Q> {
     }
 }
 
-struct MultiQueueWorker<'a, Q: SeqPriorityQueue<u64, u64> + Send> {
-    backend: &'a MultiQueueBackend<Q>,
+struct MultiQueueWorker<'a> {
+    backend: &'a MultiQueueBackend,
     /// The worker's operational surface: private RNG + policy instance.
-    handle: MqHandle<'a, u64, Q, AnyPolicy>,
+    handle: MqHandle<'a, u64, BinaryHeap<u64, u64>, AnyPolicy>,
     thread: usize,
     log: Option<ThreadLog<PqOp>>,
     quality_every: u32,
@@ -375,7 +321,7 @@ struct MultiQueueWorker<'a, Q: SeqPriorityQueue<u64, u64> + Send> {
     settled: bool,
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueWorker<'_, Q> {
+impl MultiQueueWorker<'_> {
     fn flush_pending(&mut self) {
         if !self.pending_inserts.is_empty() {
             self.handle.insert_batch(self.pending_inserts.drain(..));
@@ -408,7 +354,7 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueWorker<'_, Q> {
     }
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> Worker for MultiQueueWorker<'_, Q> {
+impl Worker for MultiQueueWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
         let clock = &self.backend.clock;
         match op.kind {
@@ -534,7 +480,7 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Worker for MultiQueueWorker<'_, Q> {
     }
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueWorker<'_, Q> {
+impl MultiQueueWorker<'_> {
     /// Flush buffered updates, then return undelivered prefetched
     /// entries (already removed from the MultiQueue but never handed
     /// to an op) so the conservation law sees them as residual, and
@@ -568,7 +514,7 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> MultiQueueWorker<'_, Q> {
     }
 }
 
-impl<Q: SeqPriorityQueue<u64, u64> + Send> Drop for MultiQueueWorker<'_, Q> {
+impl Drop for MultiQueueWorker<'_> {
     fn drop(&mut self) {
         // The engine catches worker panics *before* dropping the
         // worker, so the salvage path runs outside any unwind. If we
@@ -580,53 +526,28 @@ impl<Q: SeqPriorityQueue<u64, u64> + Send> Drop for MultiQueueWorker<'_, Q> {
     }
 }
 
-/// Any linearizable [`ConcurrentPq`] behind the [`Backend`] interface —
-/// [`CoarsePq`], [`LockedPq`], [`ParkingLotPq`] (and, via its trait
-/// impl, the MultiQueue itself when thread-local randomness is fine).
+/// The exact single-lock [`CoarsePq`] behind the [`Backend`] interface:
+/// the non-relaxed baseline every MultiQueue configuration is measured
+/// against. Its dequeue-rank proxy is zero sequentially.
 #[derive(Debug)]
-pub struct ConcurrentPqBackend<C: ConcurrentPq<u64>> {
-    pq: C,
-    label: String,
-    exact: bool,
+pub struct ConcurrentPqBackend {
+    pq: CoarsePq<u64>,
     quality: QueueQuality,
 }
 
-impl ConcurrentPqBackend<CoarsePq<u64>> {
+impl ConcurrentPqBackend {
     /// The single-global-lock exact baseline.
     pub fn coarse() -> Self {
-        Self::new(CoarsePq::new(), "coarse-pq", true)
-    }
-}
-
-impl ConcurrentPqBackend<LockedPq<u64, BinaryHeap<u64, u64>>> {
-    /// One spinlocked binary heap (exact, hint-published).
-    pub fn locked_heap() -> Self {
-        Self::new(LockedPq::new(BinaryHeap::new()), "locked-heap", true)
-    }
-}
-
-impl ConcurrentPqBackend<ParkingLotPq<u64, BinaryHeap<u64, u64>>> {
-    /// One OS-mutex binary heap (exact, hint-published).
-    pub fn parking_heap() -> Self {
-        Self::new(ParkingLotPq::new(BinaryHeap::new()), "parking-heap", true)
-    }
-}
-
-impl<C: ConcurrentPq<u64>> ConcurrentPqBackend<C> {
-    /// Wraps an arbitrary concurrent priority queue.
-    pub fn new(pq: C, label: &str, exact: bool) -> Self {
         ConcurrentPqBackend {
-            pq,
-            label: label.to_string(),
-            exact,
+            pq: CoarsePq::new(),
             quality: QueueQuality::default(),
         }
     }
 }
 
-impl<C: ConcurrentPq<u64>> Backend for ConcurrentPqBackend<C> {
+impl Backend for ConcurrentPqBackend {
     fn name(&self) -> String {
-        self.label.clone()
+        "coarse-pq".to_string()
     }
 
     fn family(&self) -> Family {
@@ -663,18 +584,18 @@ impl<C: ConcurrentPq<u64>> Backend for ConcurrentPqBackend<C> {
         let proxies = std::mem::take(&mut *self.quality.proxies.lock().expect("proxies"));
         QualityReport::named("dequeue_rank_proxy")
             .with_summary(QualitySummary::from_samples(&proxies))
-            .scalar("exact_structure", if self.exact { 1.0 } else { 0.0 })
+            .scalar("exact_structure", 1.0)
     }
 }
 
-struct ConcurrentPqWorker<'a, C: ConcurrentPq<u64>> {
-    backend: &'a ConcurrentPqBackend<C>,
+struct ConcurrentPqWorker<'a> {
+    backend: &'a ConcurrentPqBackend,
     quality_every: u32,
     removes_seen: u32,
     proxies: Vec<f64>,
 }
 
-impl<C: ConcurrentPq<u64>> Worker for ConcurrentPqWorker<'_, C> {
+impl Worker for ConcurrentPqWorker<'_> {
     fn execute(&mut self, op: &Op) -> bool {
         let pq = &self.backend.pq;
         match op.kind {
@@ -775,13 +696,10 @@ mod tests {
     }
 
     #[test]
-    fn other_sequential_queues_and_exact_backends_conserve() {
+    fn trylock_multiqueue_and_exact_backend_conserve() {
         let backends: Vec<Box<dyn Backend>> = vec![
-            Box::new(MultiQueueBackend::pairing(4, DeleteMode::TryLock)),
-            Box::new(MultiQueueBackend::skiplist(4, DeleteMode::Strict, 3)),
+            Box::new(MultiQueueBackend::heap(4, DeleteMode::TryLock)),
             Box::new(ConcurrentPqBackend::coarse()),
-            Box::new(ConcurrentPqBackend::locked_heap()),
-            Box::new(ConcurrentPqBackend::parking_heap()),
         ];
         for b in &backends {
             let counts = drive(b.as_ref(), 1_000, false);

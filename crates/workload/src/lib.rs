@@ -11,8 +11,8 @@
 //!   (uniform, Zipf, monotone), open/closed/bursty [`Arrival`]s,
 //!   prefill, seed. A named [`Scenario::catalog`] ships ≥ 6 presets.
 //! * [`Backend`] — the single interface every structure implements:
-//!   relaxed counters, the MultiQueue over any sequential queue, every
-//!   `dlz-pq` linearizable queue, and the TL2 STM
+//!   relaxed counters, the MultiQueue, the exact `dlz-pq` `CoarsePq`
+//!   baseline, and the TL2 STM
 //!   (see [`backends`]).
 //! * [`engine::run`] — the concurrent driver: barrier start, sharded
 //!   metrics, deterministic fixed-op or wall-clock budgets.

@@ -13,9 +13,9 @@
 //!   [`MultiQueue`](dlz_core::MultiQueue) (Algorithm 2), relaxed clocks,
 //!   and the executable distributional-linearizability framework
 //!   (Section 5).
-//! * [`pq`] ([`dlz_pq`]) — the per-queue building blocks: binary/pairing
-//!   heaps, a skip list, spinlocks, and the packed-lock linearizable
-//!   queue ([`LockedPq`](dlz_pq::LockedPq)) that each of Algorithm 2's
+//! * [`pq`] ([`dlz_pq`]) — the per-queue building blocks: a binary
+//!   heap with FIFO ties, spin-then-yield backoff, and the packed-lock
+//!   linearizable queue ([`LockedPq`](dlz_pq::LockedPq)) that each of Algorithm 2's
 //!   `m` queues is.
 //! * [`sim`] ([`dlz_sim`]) — the analysis objects of Section 6 as code:
 //!   sequential, (1+β), adversarial stale-read and ε-corrupted

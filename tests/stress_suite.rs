@@ -8,7 +8,7 @@ use distlin::core::clock::FaaClock;
 use distlin::core::rng::{Rng64, Xoshiro256};
 use distlin::core::spec::{check_distributional, Event, FifoOp, FifoSpec, History, StampClock};
 use distlin::core::{DeleteMode, MultiCounter, MultiQueue, RelaxedCounter};
-use distlin::pq::SkipListPq;
+use distlin::pq::SeqPriorityQueue;
 use distlin::stm::{ExactClock, Tl2};
 
 #[test]
@@ -72,15 +72,37 @@ fn multicounter_reads_bounded_during_concurrent_run() {
     );
 }
 
+/// A sorted `Vec`: a `SeqPriorityQueue` other than the default heap, so
+/// the MultiQueue's generic queue parameter is stressed too.
+struct SortedVec(Vec<(u64, u64)>);
+
+impl SeqPriorityQueue<u64, u64> for SortedVec {
+    fn add(&mut self, priority: u64, value: u64) {
+        // After every entry with priority <= `priority`: FIFO ties.
+        let at = self.0.partition_point(|(p, _)| *p <= priority);
+        self.0.insert(at, (priority, value));
+    }
+    fn delete_min(&mut self) -> Option<(u64, u64)> {
+        (!self.0.is_empty()).then(|| self.0.remove(0))
+    }
+    fn read_min(&self) -> Option<(&u64, &u64)> {
+        self.0.first().map(|(p, v)| (p, v))
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 #[test]
-fn multiqueue_skiplist_substrate_trylock_mpmc() {
+fn multiqueue_sorted_vec_queues_trylock_mpmc() {
     const PRODUCERS: usize = 2;
     const CONSUMERS: usize = 2;
     const PER: u64 = 10_000;
-    let mq: MultiQueue<u64, SkipListPq<u64, u64>> = MultiQueue::with_queues(
-        (0..16)
-            .map(|i| SkipListPq::with_seed(7 + i as u64))
-            .collect(),
+    let mq: MultiQueue<u64, SortedVec> = MultiQueue::with_queues(
+        (0..16).map(|_| SortedVec(Vec::new())).collect(),
         DeleteMode::TryLock,
     );
     let collected: Vec<u64> = std::thread::scope(|s| {
